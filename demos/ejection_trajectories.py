@@ -45,7 +45,7 @@ def main():
         print("expected photons over t1, state %s: %.2f" % (state, n))
 
     config = EjectConfig(duration=300e-6, include_recoil_kicks=True)
-    pos, vel = sample_thermal_initial(30e-6, field, "b", 20, seed=1,
+    pos, vel = sample_thermal_initial(30e-6, 20, seed=1,
                                       cloud_diameter=5e-6)
     trajs = [simulate_trajectory((pos[i], vel[i]), field, "b", config,
                                  seed=50 + i) for i in range(20)]

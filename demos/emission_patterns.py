@@ -9,7 +9,7 @@ blur over the preparation time.
 
 import numpy as np
 
-from rydsources import (EmissionGeometry, RB87, double_excitation_pattern,
+from rydsources import (EmissionGeometry, RB87, double_excitation_at,
                         expected_peak_direction, motional_blur,
                         pattern_metrics, sample_cloud,
                         single_photon_pattern)
@@ -46,8 +46,8 @@ def main():
             cl = sample_cloud(50, 5e-6, seed=200 + s)
             peak_dir = single_photon_pattern(cl, geo_t,
                                              n_theta=121).argmax_direction()
-            dpat = double_excitation_pattern(cl, geo_t, n_theta=5)
-            vals.append(dpat.evaluator(peak_dir[None, :])[0])
+            vals.append(double_excitation_at(cl, geo_t,
+                                             peak_dir[None, :])[0])
         print("tilt %3d deg: %.2f (vs peak value N = 50)"
               % (phi_deg, np.mean(vals)))
 

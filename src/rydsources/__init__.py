@@ -23,5 +23,5 @@ from .ejection import (EjectConfig, TrajectoryResult,
                        simulate_trajectory, collimation_stats, scan_fig2)
 from .emission import (EmissionGeometry, AngularPattern, PatternMetrics,
                        single_photon_pattern, double_excitation_pattern,
-                       expected_peak_direction, pattern_metrics,
-                       motional_blur, jittered_pattern)
+                       double_excitation_at, expected_peak_direction,
+                       pattern_metrics, motional_blur, jittered_pattern)

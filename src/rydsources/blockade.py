@@ -8,13 +8,15 @@ closed form and for the double-excitation leakage estimate
 P_double ~ ((N-1)/2l) |Omega|^2 / Dbar^2.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.constants import hbar
 from scipy.integrate import solve_ivp
 
-from .ensemble import mean_blockade_shift, pair_shift_magnitudes
+from .ensemble import (mean_blockade_shift, pair_shift_magnitudes,
+                       sample_cloud)
 from .species import RB87
 
 # transition labels for PulseSpec
@@ -79,16 +81,14 @@ class PulseSpec:
 class CollectiveState:
     """Amplitudes over {ground, N singles, N(N-1)/2 doubles}.
 
-    Doubles are in lexicographic (j, k) order with j < k. When
-    `phases_absorbed` is set the amplitudes are the tilde-free c_j; here
-    amplitudes are kept in the lab frame (traveling-wave phases included),
-    which leaves all probabilities unchanged.
+    Doubles are in lexicographic (j, k) order with j < k. Amplitudes are
+    kept in the lab frame (traveling-wave phases included), which leaves
+    all probabilities unchanged.
     """
 
     c_ground: complex
     c_single: np.ndarray
     c_double: np.ndarray
-    phases_absorbed: bool = False
     single_label: str = "r"     # which state the single excitation occupies
 
     def __post_init__(self):
@@ -269,9 +269,7 @@ def evolve(state, hamiltonian, duration, tolerance=1e-11, method="exact"):
                 % drift)
     else:
         raise ValueError("unknown method %r" % (method,))
-    return CollectiveState.from_vector(
-        psi, phases_absorbed=state.phases_absorbed,
-        single_label=state.single_label)
+    return CollectiveState.from_vector(psi, single_label=state.single_label)
 
 
 def _apply_transfer_pulse(state, cloud, pulse):
@@ -355,7 +353,6 @@ def m_excitation_schedule(N, m, rabi, eject_time):
 
 def _fig1_trial(args):
     (N, trial_seed, diameter, coupling, rabi, species, cap, method) = args
-    from .ensemble import sample_cloud
     cloud = sample_cloud(N, diameter, trial_seed, species=species)
     if N >= 2:
         dbar = mean_blockade_shift(cloud, coupling)
@@ -396,22 +393,25 @@ def fig1_scan(N_values, trials, diameter, coupling, rabi, master_seed,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows = []
-    for N in N_values:
-        jobs = [(int(N), trial_seed(master_seed, N, t), diameter, coupling,
-                 rabi, species, full_integrator_cap, method)
-                for t in range(trials)]
-        if workers and workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_fig1_trial, jobs))
-        else:
-            results = [_fig1_trial(job) for job in jobs]
-        row = {"N": int(N), "trials": int(trials)}
-        for key in results[0]:
-            vals = np.array([r[key] for r in results])
-            row[key + "_mean"] = float(np.mean(vals))
-            row[key + "_stderr"] = (float(np.std(vals, ddof=1)
-                                          / np.sqrt(trials))
-                                    if trials > 1 else 0.0)
-        rows.append(row)
+    pool = nullcontext()
+    if workers and workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        spawn = multiprocessing.get_context("spawn")
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=spawn)
+    with pool as executor:
+        run = executor.map if executor else map
+        for N in N_values:
+            jobs = [(int(N), trial_seed(master_seed, N, t), diameter,
+                     coupling, rabi, species, full_integrator_cap, method)
+                    for t in range(trials)]
+            results = list(run(_fig1_trial, jobs))
+            row = {"N": int(N), "trials": int(trials)}
+            for key in results[0]:
+                vals = np.array([r[key] for r in results])
+                row[key + "_mean"] = float(np.mean(vals))
+                row[key + "_stderr"] = (float(np.std(vals, ddof=1)
+                                              / np.sqrt(trials))
+                                        if trials > 1 else 0.0)
+            rows.append(row)
     return rows

@@ -18,17 +18,18 @@ import numpy as np
 from . import __version__
 from .blockade import (fig1_scan, m_excitation_schedule, trial_seed,
                        IntegrationError, TruncationError)
-from .config import (ConfigError, load_config, load_config_file,
+from .config import (SCHEMAS, ConfigError, load_config, load_config_file,
                      resolved_for_provenance, species_from_config)
 from .ejection import (EjectConfig, NoEscapeError, NotEjectedError,
                        characteristic_eject_time, collimation_stats,
                        sample_thermal_initial, scan_fig2,
                        simulate_trajectory)
 from .emission import (EmissionGeometry, GridResolutionError,
-                       double_excitation_pattern, jittered_pattern,
+                       double_excitation_at, jittered_pattern,
                        pattern_metrics, single_photon_pattern)
 from .ensemble import RydbergCoupling, SamplingError, sample_cloud
-from .optics import GaussianBeam, StateDetunings, state_potentials
+from .optics import (GaussianBeam, StateDetunings, scattering_rate,
+                     state_potentials)
 
 _NUMERICAL_ERRORS = (IntegrationError, TruncationError, NotEjectedError,
                      NoEscapeError, GridResolutionError, SamplingError,
@@ -57,6 +58,13 @@ def _write_csv(path, provenance, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join("%.12g" % v for v in row) + "\n")
+
+
+def _write_pattern_csv(path, provenance, pattern):
+    """One (theta, phi_az, P) row per grid point, theta-major."""
+    theta, phi = np.meshgrid(pattern.theta, pattern.phi_az, indexing="ij")
+    _write_csv(path, provenance, ["theta", "phi_az", "P"],
+               zip(theta.ravel(), phi.ravel(), pattern.values.ravel()))
 
 
 def run_fig1(cfg, out_dir, workers=1):
@@ -147,7 +155,6 @@ def run_eject(cfg, out_dir, workers=1):
     accel_b = float(field.acceleration(center, "b") @ direction)
     t1 = characteristic_eject_time(accel_b, cfg["fort_waist"])
 
-    from .optics import scattering_rate
     n_scat = {
         state: float(scattering_rate(eject.peak_intensity,
                                      eject_det.for_state(state), species)
@@ -166,8 +173,7 @@ def run_eject(cfg, out_dir, workers=1):
                    profile["U_b_over_kB_uK"], profile["a_a"],
                    profile["a_b"]))
 
-    econf = EjectConfig(eject_offset=(cfg["eject_offset"], 0, 0),
-                        temperature=cfg["temperature"],
+    econf = EjectConfig(temperature=cfg["temperature"],
                         duration=cfg["duration"],
                         tolerance=cfg["tolerance"],
                         include_recoil_kicks=cfg["include_recoil_kicks"],
@@ -178,7 +184,7 @@ def run_eject(cfg, out_dir, workers=1):
     for state, count in (("b", cfg["trajectories"]),
                          ("a", cfg["trajectories_a"])):
         pos, vel = sample_thermal_initial(
-            cfg["temperature"], field, state, count,
+            cfg["temperature"], count,
             trial_seed(cfg["seed"], 1 if state == "b" else 2, 0),
             cfg["cloud_diameter"], species=species)
         trajs = []
@@ -240,29 +246,22 @@ def run_emission(cfg, out_dir, workers=1):
     blocks = []
     for N in cfg["N_values"]:
         fwhms, peaks, bgs, doubles = [], [], [], []
-        first_pattern = None
         for t in range(cfg["trials"]):
             cloud = sample_cloud(N, cfg["diameter"],
                                  trial_seed(cfg["seed"], N, t),
                                  species=species)
             pattern = single_photon_pattern(cloud, geometry,
                                             cfg["grid_points"])
-            if first_pattern is None:
-                first_pattern = pattern
+            if t == 0:
+                first_cloud, first_pattern = cloud, pattern
             metrics = pattern_metrics(pattern)
             fwhms.append(metrics.fwhm)
             peaks.append(metrics.peak_value)
             bgs.append(metrics.mean_background)
-            dpat = double_excitation_pattern(cloud, geometry,
-                                             cfg["grid_points"])
-            doubles.append(float(
-                dpat.evaluator(metrics.peak_direction[None, :])[0]))
-        rows = []
-        for i, th in enumerate(first_pattern.theta):
-            for j, ph in enumerate(first_pattern.phi_az):
-                rows.append([th, ph, first_pattern.values[i, j]])
-        _write_csv(os.path.join(out_dir, "pattern_N%d.csv" % N), prov,
-                   ["theta", "phi_az", "P"], rows)
+            doubles.append(float(double_excitation_at(
+                cloud, geometry, metrics.peak_direction[None, :])[0]))
+        _write_pattern_csv(os.path.join(out_dir, "pattern_N%d.csv" % N),
+                           prov, first_pattern)
         lam_over_d = lam4 / cfg["diameter"]
         blocks.append({
             "N": int(N),
@@ -278,19 +277,13 @@ def run_emission(cfg, out_dir, workers=1):
             "double_channel_at_peak_mean": float(np.mean(doubles)),
         })
         if cfg["jitter_sigma"] > 0:
-            cloud = sample_cloud(N, cfg["diameter"],
-                                 trial_seed(cfg["seed"], N, 0),
-                                 species=species)
-            jp = jittered_pattern(cloud, geometry, cfg["jitter_sigma"],
+            jp = jittered_pattern(first_cloud, geometry, cfg["jitter_sigma"],
                                   cfg["trials"],
                                   trial_seed(cfg["seed"], N, 10 ** 6),
                                   cfg["grid_points"])
-            rows = []
-            for i, th in enumerate(jp.theta):
-                for j, ph in enumerate(jp.phi_az):
-                    rows.append([th, ph, jp.values[i, j]])
-            _write_csv(os.path.join(out_dir, "pattern_N%d_jittered.csv" % N),
-                       prov, ["theta", "phi_az", "P"], rows)
+            _write_pattern_csv(
+                os.path.join(out_dir, "pattern_N%d_jittered.csv" % N),
+                prov, jp)
     _write_json(os.path.join(out_dir, "emission_metrics.json"),
                 {"provenance": prov, "patterns": blocks})
     return 0
@@ -334,10 +327,8 @@ def main(argv=None):
             if not args.strict:
                 with open(args.config) as fh:
                     raw = json.load(fh)
-                known = set(__import__(
-                    "rydsources.config", fromlist=["SCHEMAS"]
-                ).SCHEMAS[args.subcommand])
-                raw = {k: v for k, v in raw.items() if k in known}
+                raw = {k: v for k, v in raw.items()
+                       if k in SCHEMAS[args.subcommand]}
                 cfg = load_config(args.subcommand, raw)
             else:
                 cfg = load_config_file(args.subcommand, args.config)

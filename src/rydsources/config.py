@@ -6,7 +6,6 @@ loudly. Parsed configs resolve to SI (angular frequencies in rad/s).
 """
 
 import json
-from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -46,7 +45,6 @@ SCHEMAS = {
         "anchor_separation": ("length", "5 um"),
         "anchor_shift": ("frequency", "100 MHz"),
         "full_integrator_cap": ("int", 12),
-        "integrator_trials": ("int", 5),
     },
     "eject": {
         **_COMMON,
@@ -87,6 +85,29 @@ SCHEMAS = {
         "eject_time": ("time", "40 us"),
     },
 }
+
+
+# ranges of parsed values (of every entry, for lists), checked at load
+_AT_LEAST = {"N_values": 1, "trials": 1, "N": 1, "m": 1, "principal_n": 1,
+             "trajectories": 1, "trajectories_a": 1, "grid_points": 2,
+             "fort_power": 0, "eject_power": 0, "temperature": 0,
+             "jitter_sigma": 0, "eject_time": 0}
+_POSITIVE = {"diameter", "cloud_diameter", "rabi", "anchor_separation",
+             "anchor_shift", "duration", "tolerance", "fort_waist",
+             "eject_waist", "fort_wavelength", "eject_wavelength", "lambda4",
+             "profile_halfwidth"}
+
+
+def _check_ranges(cfg):
+    for key, value in cfg.items():
+        least = min(value) if isinstance(value, list) else value
+        if key in _AT_LEAST and not least >= _AT_LEAST[key]:
+            raise ConfigError("%s: must be >= %g, got %r"
+                              % (key, _AT_LEAST[key], value))
+        if key in _POSITIVE and not least > 0:
+            raise ConfigError("%s: must be positive, got %r" % (key, value))
+    if "m" in cfg and cfg["m"] > cfg["N"]:
+        raise ConfigError("m: %d exceeds N = %d" % (cfg["m"], cfg["N"]))
 
 
 def _parse_value(key, kind, raw):
@@ -147,7 +168,9 @@ def load_config(subcommand, raw):
         raise ConfigError("unknown subcommand %r" % (subcommand,))
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return _parse_section(raw, SCHEMAS[subcommand])
+    cfg = _parse_section(raw, SCHEMAS[subcommand])
+    _check_ranges(cfg)
+    return cfg
 
 
 def load_config_file(subcommand, path):
@@ -162,17 +185,10 @@ def load_config_file(subcommand, path):
 def species_from_config(cfg):
     """AtomicSpecies with any overrides from the config's species block."""
     overrides = cfg.get("species") or {}
-    rename = {
-        "linewidth": "linewidth_Gamma",
-        "rydberg_decay": "rydberg_decay_gamma_R",
-        "ground_hyperfine_splitting": "ground_hyperfine_splitting",
-        "mass": "mass",
-        "saturation_intensity": "saturation_intensity",
-        "line_wavelength": "line_wavelength",
-    }
-    kwargs = {rename[k]: v for k, v in overrides.items() if v is not None}
-    valid = {f.name for f in dataclass_fields(AtomicSpecies)}
-    assert set(kwargs) <= valid
+    rename = {"linewidth": "linewidth_Gamma",
+              "rydberg_decay": "rydberg_decay_gamma_R"}
+    kwargs = {rename.get(k, k): v for k, v in overrides.items()
+              if v is not None}
     return AtomicSpecies(**kwargs)
 
 

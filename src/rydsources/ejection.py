@@ -14,6 +14,8 @@ import numpy as np
 from scipy.constants import hbar, k as k_B
 from scipy.integrate import solve_ivp
 
+from .ensemble import sample_ball
+from .optics import scattering_rate
 from .species import RB87
 
 _G = 9.80665          # m/s^2, standard gravity along -z when enabled
@@ -29,7 +31,6 @@ class NoEscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class EjectConfig:
-    eject_offset: np.ndarray = (-3e-6, 0.0, 0.0)   # m, eject beam center
     temperature: float = 30e-6                     # K
     duration: float = 300e-6                       # s
     tolerance: float = 1e-10
@@ -44,8 +45,6 @@ class EjectConfig:
             raise ValueError("duration must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        object.__setattr__(self, "eject_offset",
-                           np.asarray(self.eject_offset, dtype=float))
         object.__setattr__(self, "trap_center",
                            np.asarray(self.trap_center, dtype=float))
 
@@ -83,51 +82,37 @@ def characteristic_eject_time(net_acceleration, w_fort):
     return np.sqrt(2 * w_fort / net_acceleration)
 
 
-def sample_thermal_initial(T, field_, state, N, seed, cloud_diameter,
-                           species=RB87, center=(0.0, 0.0, 0.0)):
+def sample_thermal_initial(T, N, seed, cloud_diameter, species=RB87,
+                           center=(0.0, 0.0, 0.0)):
     """Maxwell-Boltzmann velocities at T, positions uniform in the cloud.
 
     Returns (positions (N, 3), velocities (N, 3)); deterministic under
-    the seed. `field_` and `state` identify the ensemble being launched
-    but do not affect the sampling.
+    the seed.
     """
-    del field_, state
     if T < 0:
         raise ValueError("temperature must be >= 0")
     rng = np.random.default_rng(seed)
-    center = np.asarray(center, dtype=float)
-    radius = cloud_diameter / 2
-    positions = np.empty((N, 3))
-    count = 0
-    while count < N:
-        p = rng.uniform(-radius, radius, size=3)
-        if p @ p <= radius * radius:
-            positions[count] = center + p
-            count += 1
+    positions = (np.asarray(center, dtype=float)
+                 + sample_ball(rng, N, cloud_diameter / 2))
     sigma = np.sqrt(k_B * T / species.mass) if T > 0 else 0.0
     velocities = (rng.normal(0.0, sigma, size=(N, 3)) if sigma > 0
                   else np.zeros((N, 3)))
     return positions, velocities
 
 
-def _rhs(field_, state, gravity, mass):
-    def rhs(t, y):
-        r, v = y[:3], y[3:6]
-        a = field_.force(r, state) / mass
-        if gravity:
-            a = a + np.array([0.0, 0.0, -_G])
-        rate = field_.total_scattering_rate(r, state)
-        return np.concatenate([v, a, [rate]])
-    return rhs
-
-
 def _integrate_segment(field_, state, config, y0, t0, t1, events):
-    sol = solve_ivp(_rhs(field_, state, config.gravity,
-                         field_.species.mass),
-                    (t0, t1), y0, method="DOP853",
-                    rtol=config.tolerance, atol=config.tolerance * 1e-3,
-                    events=events, dense_output=False, max_step=(t1 - t0))
-    return sol
+    """DOP853 over y = (r, v, photons expected) from t0 to t1."""
+    mass = field_.species.mass
+
+    def rhs(t, y):
+        _, force, rate = field_.evaluate(y[:3], state)
+        a = force / mass
+        if config.gravity:
+            a = a + np.array([0.0, 0.0, -_G])
+        return np.concatenate([y[3:6], a, [rate]])
+    return solve_ivp(rhs, (t0, t1), y0, method="DOP853",
+                     rtol=config.tolerance, atol=config.tolerance * 1e-3,
+                     events=events, dense_output=False, max_step=(t1 - t0))
 
 
 def simulate_trajectory(initial, field_, state, config, seed=None,
@@ -179,8 +164,7 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
 
     radii = np.linalg.norm(result.positions - center, axis=1)
     energies = (0.5 * mass * np.sum(result.velocities ** 2, axis=1)
-                + np.array([field_.potential(p, state)
-                            for p in result.positions]))
+                + field_.potential(result.positions, state))
     outside = (radii > config.escape_radius) & (energies > 0)
     if np.any(outside):
         i = int(np.argmax(outside))
@@ -198,17 +182,14 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
 def _integrate_with_kicks(r0, v0, field_, state, config, seed, region_event):
     """Inhomogeneous-Poisson kick sampling by thinning against a rate bound."""
     rng = np.random.default_rng(seed)
+    peak_rates = [scattering_rate(beam.peak_intensity, det.for_state(state),
+                                  field_.species)
+                  for beam, det in field_.beams]
     # bound: peak intensity of every beam seen simultaneously
-    from .optics import scattering_rate
-    rate_bound = 1.2 * sum(
-        scattering_rate(beam.peak_intensity, det.for_state(state),
-                        field_.species)
-        for beam, det in field_.beams)
-    rate_bound = max(rate_bound, 1.0 / config.duration)
-    mass = field_.species.mass
-    # pick the dominant scattering beam for the absorbed-photon direction
-    eject_beam = max(field_.beams, key=lambda bd: scattering_rate(
-        bd[0].peak_intensity, bd[1].for_state(state), field_.species))[0]
+    rate_bound = max(1.2 * sum(peak_rates), 1.0 / config.duration)
+    # the dominant scattering beam gives the absorbed-photon direction
+    eject_beam = field_.beams[int(np.argmax(peak_rates))][0]
+    hk = hbar * eject_beam.wavenumber / field_.species.mass
 
     t = 0.0
     y = np.concatenate([r0, v0, [0.0]])
@@ -232,7 +213,6 @@ def _integrate_with_kicks(r0, v0, field_, state, config, seed, region_event):
         local_rate = field_.total_scattering_rate(y[:3], state)
         if rng.uniform() < local_rate / rate_bound:
             kicks += 1
-            hk = hbar * eject_beam.wavenumber / mass
             u = _isotropic_direction(rng)
             y[3:6] += hk * eject_beam.axis + hk * u
             states[-1][3:6] = y[3:6]
@@ -291,9 +271,7 @@ def scan_fig2(field_, axis_start, axis_end, samples, species=RB87):
     pts = axis_start[None, :] + x[:, None] * direction[None, :]
     out = {"x": x + 0.0}
     for state in ("a", "b"):
-        U = np.array([field_.potential(p, state) for p in pts])
-        acc = np.array([field_.acceleration(p, state) @ direction
-                        for p in pts])
+        U, F, _ = field_.evaluate(pts, state)
         out["U_%s_over_kB_uK" % state] = U / k_B * 1e6
-        out["a_%s" % state] = acc
+        out["a_%s" % state] = F / field_.species.mass @ direction
     return out

@@ -146,18 +146,29 @@ def single_photon_pattern(cloud, geometry, n_theta=181):
                          geometry.k4_magnitude, n_theta)
 
 
+def _double_offset(geometry):
+    q_offset = 2 * (geometry.k1 + geometry.k2) - geometry.k3
+    mismatch = abs(np.linalg.norm(q_offset) - geometry.k4_magnitude)
+    if mismatch < 1e-6 * geometry.k4_magnitude:
+        warnings.warn("double-excitation channel is phase matched for this "
+                      "geometry; its peak reaches N", stacklevel=3)
+    return q_offset
+
+
 def double_excitation_pattern(cloud, geometry, n_theta=181):
     """Background channel from doubly excited states.
 
     Evaluates the mismatch phase k4 - 2(k1 + k2) + k3 on the grid; warns
     if the geometry pathologically phase-matches this channel.
     """
-    q_offset = 2 * (geometry.k1 + geometry.k2) - geometry.k3
-    mismatch = abs(np.linalg.norm(q_offset) - geometry.k4_magnitude)
-    if mismatch < 1e-6 * geometry.k4_magnitude:
-        warnings.warn("double-excitation channel is phase matched for this "
-                      "geometry; its peak reaches N", stacklevel=2)
-    return _make_pattern(cloud, q_offset, geometry.k4_magnitude, n_theta)
+    return _make_pattern(cloud, _double_offset(geometry),
+                         geometry.k4_magnitude, n_theta)
+
+
+def double_excitation_at(cloud, geometry, directions):
+    """double_excitation_pattern's values at unit directions (..., 3)."""
+    return _pattern_values(cloud.positions, _double_offset(geometry),
+                           geometry.k4_magnitude, directions)
 
 
 def expected_peak_direction(geometry):

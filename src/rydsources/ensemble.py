@@ -112,18 +112,24 @@ def sample_cloud(N, diameter, seed, species=RB87,
         raise ValueError("N must be >= 1")
     if not diameter > 0:
         raise ValueError("diameter must be positive")
-    rng = np.random.default_rng(seed)
-    radius = diameter / 2
+    accepted = sample_ball(np.random.default_rng(seed), N, diameter / 2,
+                           min_separation)
+    return AtomCloud(positions=accepted, diameter=diameter,
+                     master_seed=int(seed), species=species)
+
+
+def sample_ball(rng, N, radius, min_separation=0.0):
+    """N points (N, 3) i.i.d. uniform in a ball about the origin, drawn
+    by rejection from `rng` as sample_cloud describes."""
     accepted = np.empty((N, 3))
-    count = 0
-    attempts = 0
+    count = attempts = 0
     while count < N:
         attempts += 1
         if attempts > _MAX_SAMPLING_ATTEMPTS:
             raise SamplingError(
                 "failed to place %d atoms with %.1e m separation in a "
                 "%.1e m sphere after %d attempts"
-                % (N, min_separation, diameter, _MAX_SAMPLING_ATTEMPTS))
+                % (N, min_separation, 2 * radius, _MAX_SAMPLING_ATTEMPTS))
         p = rng.uniform(-radius, radius, size=3)
         if p @ p > radius * radius:
             continue
@@ -133,8 +139,7 @@ def sample_cloud(N, diameter, seed, species=RB87,
                 continue
         accepted[count] = p
         count += 1
-    return AtomCloud(positions=accepted, diameter=diameter,
-                     master_seed=int(seed), species=species)
+    return accepted
 
 
 def pair_shift(coupling, r_j, r_k):

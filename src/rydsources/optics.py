@@ -64,24 +64,22 @@ def _beam_coords(beam, r):
     return rel, z, rho2
 
 
-def intensity(beam, r):
-    """Intensity (W/m^2) at position(s) r, shape (..., 3)."""
-    _, z, rho2 = _beam_coords(beam, r)
-    w2 = beam.waist ** 2 * (1 + (z / beam.rayleigh_range) ** 2)
-    return 2 * beam.power / (np.pi * w2) * np.exp(-2 * rho2 / w2)
-
-
-def intensity_gradient(beam, r):
-    """Analytic grad I (W/m^3) at a single position r."""
+def intensity_and_gradient(beam, r):
+    """Intensity I (W/m^2) and analytic grad I (W/m^3) at r, shape (..., 3)."""
     rel, z, rho2 = _beam_coords(beam, r)
     zR = beam.rayleigh_range
     w2 = beam.waist ** 2 * (1 + (z / zR) ** 2)
     I = 2 * beam.power / (np.pi * w2) * np.exp(-2 * rho2 / w2)
     dw2_dz = 2 * z * beam.waist ** 2 / zR ** 2
-    dI_drho2 = -2 * I / w2
-    dI_dz = I * dw2_dz * (2 * rho2 - w2) / w2 ** 2
-    grad_rho2 = 2 * (rel - z * beam.axis)
-    return dI_drho2 * grad_rho2 + dI_dz * beam.axis
+    dI_drho2 = (-2 * I / w2)[..., None]
+    dI_dz = (I * dw2_dz * (2 * rho2 - w2) / w2 ** 2)[..., None]
+    grad_rho2 = 2 * (rel - z[..., None] * beam.axis)
+    return I, dI_drho2 * grad_rho2 + dI_dz * beam.axis
+
+
+def intensity(beam, r):
+    """Intensity (W/m^2) at position(s) r, shape (..., 3)."""
+    return intensity_and_gradient(beam, r)[0]
 
 
 def dipole_potential(I, detuning, species=RB87):
@@ -92,14 +90,6 @@ def dipole_potential(I, detuning, species=RB87):
     s_eff = (np.asarray(I) / species.saturation_intensity
              / (1 + (2 * detuning / gamma) ** 2))
     return hbar * detuning / 2 * np.log1p(s_eff)
-
-
-def _dipole_potential_dI(I, detuning, species):
-    gamma = species.linewidth_Gamma
-    denom = (species.saturation_intensity
-             * (1 + (2 * detuning / gamma) ** 2)
-             + np.asarray(I))
-    return hbar * detuning / 2 / denom
 
 
 def scattering_rate(I, detuning, species=RB87):
@@ -153,35 +143,39 @@ class StatePotentialField:
             raise ValueError("at least one beam is required")
         object.__setattr__(self, "beams", tuple(self.beams))
 
-    def potential(self, r, state):
-        """U_state(r) in J; r may be a single point or (..., 3)."""
-        total = 0.0
+    def evaluate(self, r, state):
+        """(U in J, F = -grad U in N, scattering rate in 1/s) at r.
+
+        r is a single point (3,) or a batch (..., 3); every beam's
+        intensity and gradient are computed once and feed all three.
+        """
+        r = np.asarray(r, dtype=float)
+        U, F, R = 0.0, np.zeros(r.shape), 0.0
         for beam, det in self.beams:
-            total = total + dipole_potential(intensity(beam, r),
-                                             det.for_state(state),
-                                             self.species)
-        return total
+            delta = det.for_state(state)
+            I, grad = intensity_and_gradient(beam, r)
+            U = U + dipole_potential(I, delta, self.species)
+            dU_dI = hbar * delta / 2 / (
+                self.species.saturation_intensity
+                * (1 + (2 * delta / self.species.linewidth_Gamma) ** 2) + I)
+            F -= dU_dI[..., None] * grad
+            R = R + scattering_rate(I, delta, self.species)
+        return U, F, R
+
+    def potential(self, r, state):
+        """U_state(r) in J."""
+        return self.evaluate(r, state)[0]
 
     def force(self, r, state):
-        """F = -grad U (N) at a single position r."""
-        f = np.zeros(3)
-        for beam, det in self.beams:
-            I = intensity(beam, r)
-            f -= (_dipole_potential_dI(I, det.for_state(state), self.species)
-                  * intensity_gradient(beam, r))
-        return f
+        """F = -grad U (N)."""
+        return self.evaluate(r, state)[1]
 
     def acceleration(self, r, state):
         return self.force(r, state) / self.species.mass
 
     def total_scattering_rate(self, r, state):
         """Summed photon scattering rate (1/s) over all beams."""
-        total = 0.0
-        for beam, det in self.beams:
-            total = total + scattering_rate(intensity(beam, r),
-                                            det.for_state(state),
-                                            self.species)
-        return total
+        return self.evaluate(r, state)[2]
 
 
 def state_potentials(beams, species=RB87):

@@ -62,7 +62,7 @@ def eject_ensemble(eject_field):
     """100 |b> trajectories with recoil kicks, plus the wall-clock time."""
     config = EjectConfig(duration=300e-6, include_recoil_kicks=True,
                          tolerance=1e-9)
-    pos, vel = sample_thermal_initial(30e-6, eject_field, "b", 100,
+    pos, vel = sample_thermal_initial(30e-6, 100,
                                       seed=2024, cloud_diameter=5e-6)
     start = time.perf_counter()
     trajectories = [

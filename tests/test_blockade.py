@@ -292,6 +292,11 @@ class TestFig1Scan:
         b = fig1_scan([5, 20], 4, 5e-6, N50, OMEGA, master_seed=77)
         assert a == b
 
+    def test_pool_rows_match_serial(self):
+        args = ([2, 5, 10], 3, 5e-6, N50, OMEGA, 11)
+        assert (fig1_scan(*args, full_integrator_cap=5, workers=2)
+                == fig1_scan(*args, full_integrator_cap=5, workers=1))
+
     def test_linear_growth(self):
         ns = [10, 25, 40, 55, 70, 85, 100]
         rows = fig1_scan(ns, 8, 5e-6, N50, OMEGA, master_seed=5)

@@ -188,6 +188,26 @@ class TestCliErrors:
         cfg = write_config(tmp_path, {"diameter": "five microns"})
         assert main(["fig1", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("subcommand, payload", [
+        ("fig1", {"N_values": [0]}),
+        ("fig1", {"diameter": "-1 um"}),
+        ("emission", {"N_values": [0]}),
+        ("emission", {"trials": 0}),
+        ("emission", {"diameter": "-1 um"}),
+        ("schedule", {"m": 0}),
+        ("schedule", {"m": 101}),
+        ("schedule", {"rabi": "0 MHz"}),
+        ("eject", {"trajectories": 0}),
+        ("eject", {"duration": "-1 us"}),
+        ("emission", {"grid_points": 1}),
+    ])
+    def test_out_of_range_exit_code(self, tmp_path, capsys, subcommand,
+                                    payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path),
+                     "--workers", "1"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # eject beam off: |b> is never ejected -> exit 3
         cfg = write_config(tmp_path, {**SMALL_EJECT, "eject_power": "0 uW"})

@@ -47,23 +47,23 @@ class TestCharacteristicTime:
 
 class TestThermalSampling:
     def test_determinism(self):
-        a = sample_thermal_initial(30e-6, None, "b", 50, 9, 5e-6)
-        b = sample_thermal_initial(30e-6, None, "b", 50, 9, 5e-6)
+        a = sample_thermal_initial(30e-6, 50, 9, 5e-6)
+        b = sample_thermal_initial(30e-6, 50, 9, 5e-6)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_zero_temperature(self):
-        _, vel = sample_thermal_initial(0.0, None, "b", 10, 1, 5e-6)
+        _, vel = sample_thermal_initial(0.0, 10, 1, 5e-6)
         assert np.all(vel == 0)
 
     def test_positions_in_cloud(self):
-        pos, _ = sample_thermal_initial(30e-6, None, "b", 200, 2, 5e-6,
+        pos, _ = sample_thermal_initial(30e-6, 200, 2, 5e-6,
                                         center=(1e-6, 0, 0))
         r = np.linalg.norm(pos - np.array([1e-6, 0, 0]), axis=1)
         assert np.all(r <= 2.5e-6)
 
     def test_velocity_statistics(self):
         n = 4000
-        _, vel = sample_thermal_initial(30e-6, None, "b", n, 3, 5e-6)
+        _, vel = sample_thermal_initial(30e-6, n, 3, 5e-6)
         sigma2 = k_B * 30e-6 / RB87.mass
         # per-component variance within 4 sigma of the chi^2 spread
         for i in range(3):
@@ -73,7 +73,7 @@ class TestThermalSampling:
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
-            sample_thermal_initial(-1e-6, None, "b", 10, 1, 5e-6)
+            sample_thermal_initial(-1e-6, 10, 1, 5e-6)
 
 
 class TestTrajectories:
@@ -226,7 +226,7 @@ class TestCollimationStats:
         accel = field.acceleration(np.zeros(3), "b")[0]
         t1 = characteristic_eject_time(accel, 5e-6)
         config = EjectConfig(duration=250e-6)
-        pos, vel = sample_thermal_initial(30e-6, field, "b", 8, 21, 5e-6)
+        pos, vel = sample_thermal_initial(30e-6, 8, 21, 5e-6)
         trs = [simulate_trajectory((pos[i], vel[i]), field, "b", config)
                for i in range(8)]
         mean_dir, rms, ratio = collimation_stats(trs, accel, t1, 780e-9)

@@ -5,7 +5,7 @@ from scipy.integrate import dblquad
 
 from rydsources.optics import (GaussianBeam, ResonantLightError,
                                StateDetunings, dipole_potential, intensity,
-                               intensity_gradient, scattering_rate,
+                               intensity_and_gradient, scattering_rate,
                                state_potentials)
 from rydsources.species import RB87
 
@@ -69,7 +69,7 @@ class TestBeamGeometry:
                                   axis=(1, 1, 0.3), focus_position=(1e-6, 0, -2e-6))):
             for _ in range(34):
                 r = rng.uniform(-8e-6, 8e-6, 3)
-                grad = intensity_gradient(beam, r)
+                grad = intensity_and_gradient(beam, r)[1]
                 fd = np.empty(3)
                 for i in range(3):
                     dp = np.zeros(3)
@@ -239,6 +239,22 @@ class TestStatePotentialField:
         for beam, det in f.beams:
             parts += scattering_rate(intensity(beam, r), det.for_state("b"))
         assert total == pytest.approx(parts, rel=1e-12)
+
+    @pytest.mark.parametrize("state", ["a", "b"])
+    def test_batched_evaluate_matches_per_point(self, state):
+        # one pass over (n, 3) points gives the per-point values exactly
+        f = self.field()
+        pts = np.random.default_rng(2).uniform(-15e-6, 15e-6, (200, 3))
+        U, F, R = f.evaluate(pts, state)
+        assert U.shape == R.shape == (200,) and F.shape == (200, 3)
+        for i, p in enumerate(pts):
+            assert U[i] == f.potential(p, state)
+            assert np.array_equal(F[i], f.force(p, state))
+            assert R[i] == f.total_scattering_rate(p, state)
+        U2, F2, R2 = f.evaluate(pts.reshape(10, 20, 3), state)
+        assert np.array_equal(U2.ravel(), U)
+        assert np.array_equal(F2.reshape(200, 3), F)
+        assert np.array_equal(R2.ravel(), R)
 
     def test_empty_field_rejected(self):
         with pytest.raises(ValueError):
