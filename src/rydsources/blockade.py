@@ -43,6 +43,10 @@ class SequentialityError(ValueError):
     """Preparation pulses must be strictly sequential."""
 
 
+class UnsupportedTransitionError(ValueError):
+    """The pulse drives a transition that has no modelled Hamiltonian."""
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """One resonant pulse; per-atom phases are phi_j = k . r_j."""
@@ -285,9 +289,15 @@ def run_preparation_sequence(cloud, coupling, pulses, method="exact",
 
     Pulses must be strictly sequential; if start times are given, any
     overlap is rejected (simultaneous omega and omega' driving causes
-    multiphoton Raman leakage).
+    multiphoton Raman leakage). Only b->r drives and r->a transfers are
+    modelled; any other transition is rejected before evolving.
     """
     _check_sequential(pulses)
+    for pulse in pulses:
+        if pulse.transition not in (TRANSITION_B_R, TRANSITION_R_A):
+            raise UnsupportedTransitionError(
+                "%r pulses are not modelled; only %r and %r are simulated"
+                % (pulse.transition, TRANSITION_B_R, TRANSITION_R_A))
     state = CollectiveState.ground(cloud.n_atoms)
     rabi = None
     mean_shift = None

@@ -165,7 +165,7 @@ def run_eject(cfg, out_dir, workers=1):
     prov = _provenance("eject", cfg)
     halfw = cfg["profile_halfwidth"]
     profile = scan_fig2(field, (-halfw, 0, 0), (halfw, 0, 0),
-                        cfg["profile_samples"], species=species)
+                        cfg["profile_samples"])
     profile["x"] = profile["x"] - halfw   # signed about the FORT center
     _write_csv(os.path.join(out_dir, "eject_profile.csv"), prov,
                ["x", "U_a_over_kB_uK", "U_b_over_kB_uK", "a_a", "a_b"],
@@ -173,8 +173,7 @@ def run_eject(cfg, out_dir, workers=1):
                    profile["U_b_over_kB_uK"], profile["a_a"],
                    profile["a_b"]))
 
-    econf = EjectConfig(temperature=cfg["temperature"],
-                        duration=cfg["duration"],
+    econf = EjectConfig(duration=cfg["duration"],
                         tolerance=cfg["tolerance"],
                         include_recoil_kicks=cfg["include_recoil_kicks"],
                         gravity=cfg["gravity"],

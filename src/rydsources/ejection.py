@@ -3,9 +3,12 @@
 An atom in |b> rides the repulsive eject-beam gradient out of the trap;
 the characteristic timescale t1 solves (1/2) a t1^2 = w_FORT with a the
 net acceleration at the cloud center. Trajectories integrate
-m r'' = F_state(r), optionally with stochastic single-photon recoil
-kicks sampled at the local scattering rate (thinning against the peak
-rate), and accumulate the expected photon number along the path.
+m r'' = F_state(r) together with the expected photon number, the
+integral of the local scattering rate along the path. Optional
+single-photon recoil kicks are drawn by the waiting-time method of
+Monte Carlo wave functions (Dalibard, Castin & Molmer, PRL 68, 580,
+1992): a kick fires when the photon integral crosses an Exp(1) draw
+past the previous kick, a terminal event of the one DOP853 loop.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,6 @@ class NoEscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class EjectConfig:
-    temperature: float = 30e-6                     # K
     duration: float = 300e-6                       # s
     tolerance: float = 1e-10
     include_recoil_kicks: bool = False
@@ -43,8 +45,6 @@ class EjectConfig:
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError("duration must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
         object.__setattr__(self, "trap_center",
                            np.asarray(self.trap_center, dtype=float))
 
@@ -59,7 +59,7 @@ class TrajectoryResult:
     positions: np.ndarray               # (n, 3)
     velocities: np.ndarray              # (n, 3)
     photons_expected: np.ndarray        # running integral of the rate
-    photons_sampled: int = None         # Poisson realization, kicks only
+    photons_sampled: int = None         # kicks applied, kicks only
     escaped: bool = False               # |r - center| > 3 w_FORT, E > 0
     escape_time: float = None
     sweep_time: float = None            # first displacement > w_FORT
@@ -100,21 +100,6 @@ def sample_thermal_initial(T, N, seed, cloud_diameter, species=RB87,
     return positions, velocities
 
 
-def _integrate_segment(field_, state, config, y0, t0, t1, events):
-    """DOP853 over y = (r, v, photons expected) from t0 to t1."""
-    mass = field_.species.mass
-
-    def rhs(t, y):
-        _, force, rate = field_.evaluate(y[:3], state)
-        a = force / mass
-        if config.gravity:
-            a = a + np.array([0.0, 0.0, -_G])
-        return np.concatenate([y[3:6], a, [rate]])
-    return solve_ivp(rhs, (t0, t1), y0, method="DOP853",
-                     rtol=config.tolerance, atol=config.tolerance * 1e-3,
-                     events=events, dense_output=False, max_step=(t1 - t0))
-
-
 def simulate_trajectory(initial, field_, state, config, seed=None,
                         n_samples=400):
     """Integrate one atom; returns a TrajectoryResult.
@@ -129,21 +114,57 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     mass = field_.species.mass
     center = config.trap_center
 
+    def rhs(t, y):
+        _, force, rate = field_.evaluate(y[:3], state)
+        a = force / mass
+        if config.gravity:
+            a = a + np.array([0.0, 0.0, -_G])
+        return np.concatenate([y[3:6], a, [rate]])
+
     def region_event(t, y):
         return np.linalg.norm(y[:3] - center) - config.region_radius
     region_event.terminal = True
     region_event.direction = 1
+    events = [region_event]
 
+    photons_sampled = None
     if config.include_recoil_kicks:
         if seed is None:
             raise ValueError("recoil kicks require a seed")
-        times, states = _integrate_with_kicks(r0, v0, field_, state, config,
-                                              seed, region_event)
-    else:
-        sol = _integrate_segment(field_, state, config,
-                                 np.concatenate([r0, v0, [0.0]]),
-                                 0.0, config.duration, [region_event])
-        times, states = sol.t, sol.y.T
+        rng = np.random.default_rng(seed)
+        peak_rates = [scattering_rate(beam.peak_intensity,
+                                      det.for_state(state), field_.species)
+                      for beam, det in field_.beams]
+        # the dominant scattering beam gives the absorbed-photon direction
+        eject_beam = field_.beams[int(np.argmax(peak_rates))][0]
+        hk = hbar * eject_beam.wavenumber / mass
+        photons_sampled = 0
+        next_kick = rng.exponential()
+
+        def kick_event(t, y):
+            return y[6] - next_kick
+        kick_event.terminal = True
+        kick_event.direction = 1
+        events.append(kick_event)
+
+    t = 0.0
+    y = np.concatenate([r0, v0, [0.0]])
+    times, states = [[t]], [[y]]
+    while t < config.duration:
+        sol = solve_ivp(rhs, (t, config.duration), y, method="DOP853",
+                        rtol=config.tolerance, atol=config.tolerance * 1e-3,
+                        events=events, max_step=config.duration - t)
+        times.append(sol.t[1:])
+        states.append(sol.y.T[1:])
+        if sol.status != 1 or sol.t_events[0].size:
+            break                   # reached the end or left the region
+        # the photon integral crossed its Exp(1) draw: one scattering event
+        t, y = sol.t[-1], sol.y[:, -1].copy()
+        y[3:6] += hk * eject_beam.axis + hk * _isotropic_direction(rng)
+        states[-1][-1] = y
+        photons_sampled += 1
+        next_kick = y[6] + rng.exponential()
+    times, states = np.concatenate(times), np.concatenate(states)
 
     # resample to a bounded number of output points (endpoints kept)
     if len(times) > n_samples:
@@ -152,13 +173,12 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
         times, states = times[idx], states[idx]
 
     result = TrajectoryResult(
-        times=np.asarray(times),
+        times=times,
         positions=states[:, :3],
         velocities=states[:, 3:6],
         photons_expected=states[:, 6],
+        photons_sampled=photons_sampled,
     )
-    if config.include_recoil_kicks:
-        result.photons_sampled = int(round(states[-1, 7]))
     result.truncated = (np.linalg.norm(states[-1, :3] - center)
                         >= config.region_radius * (1 - 1e-9))
 
@@ -177,47 +197,6 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     if np.any(swept):
         result.sweep_time = float(result.times[int(np.argmax(swept))])
     return result
-
-
-def _integrate_with_kicks(r0, v0, field_, state, config, seed, region_event):
-    """Inhomogeneous-Poisson kick sampling by thinning against a rate bound."""
-    rng = np.random.default_rng(seed)
-    peak_rates = [scattering_rate(beam.peak_intensity, det.for_state(state),
-                                  field_.species)
-                  for beam, det in field_.beams]
-    # bound: peak intensity of every beam seen simultaneously
-    rate_bound = max(1.2 * sum(peak_rates), 1.0 / config.duration)
-    # the dominant scattering beam gives the absorbed-photon direction
-    eject_beam = field_.beams[int(np.argmax(peak_rates))][0]
-    hk = hbar * eject_beam.wavenumber / field_.species.mass
-
-    t = 0.0
-    y = np.concatenate([r0, v0, [0.0]])
-    times = [0.0]
-    states = [np.concatenate([y, [0.0]])]
-    kicks = 0
-    while t < config.duration:
-        tau = rng.exponential(1.0 / rate_bound)
-        t_next = min(t + tau, config.duration)
-        sol = _integrate_segment(field_, state, config, y, t, t_next,
-                                 [region_event])
-        for ts, ys in zip(sol.t[1:], sol.y.T[1:]):
-            times.append(ts)
-            states.append(np.concatenate([ys, [kicks]]))
-        t = sol.t[-1]
-        y = sol.y[:, -1]
-        if sol.status == 1:        # left the region
-            break
-        if t >= config.duration:
-            break
-        local_rate = field_.total_scattering_rate(y[:3], state)
-        if rng.uniform() < local_rate / rate_bound:
-            kicks += 1
-            u = _isotropic_direction(rng)
-            y[3:6] += hk * eject_beam.axis + hk * u
-            states[-1][3:6] = y[3:6]
-            states[-1][7] = kicks
-    return np.array(times), np.array(states)
 
 
 def _isotropic_direction(rng):
@@ -253,7 +232,7 @@ def collimation_stats(trajectories, coherent_acceleration, eject_time,
     return mean_dir, rms_transverse, float(ratio)
 
 
-def scan_fig2(field_, axis_start, axis_end, samples, species=RB87):
+def scan_fig2(field_, axis_start, axis_end, samples):
     """Potential/acceleration profile along the FORT-eject line.
 
     Returns a dict of arrays: x (m, signed along the line),

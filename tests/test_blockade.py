@@ -9,7 +9,8 @@ from rydsources.blockade import (BlockadeSummary, CollectiveState, PulseSpec,
                                  m_excitation_schedule, p_double_estimate,
                                  pi_pulse_time, run_preparation_sequence,
                                  spontaneous_correction, trial_seed,
-                                 TRANSITION_R_A)
+                                 TRANSITION_A_R_TWO_PHOTON, TRANSITION_R_A,
+                                 TRANSITION_R_E, UnsupportedTransitionError)
 from rydsources.ensemble import AtomCloud, RydbergCoupling, sample_cloud
 
 TWO_PI = 2 * np.pi
@@ -244,6 +245,19 @@ class TestPreparationSequence:
                   PulseSpec(OMEGA, k, 1e-6, transition=TRANSITION_R_A,
                             start_time=0.5e-6)]
         with pytest.raises(SequentialityError):
+            run_preparation_sequence(cloud, N50, pulses)
+
+    @pytest.mark.parametrize("transition", [TRANSITION_A_R_TWO_PHOTON,
+                                            TRANSITION_R_E])
+    def test_unmodelled_transition_rejected(self, transition, monkeypatch):
+        cloud = sample_cloud(2, 5e-6, seed=2)
+        pulses = self.pulses_for(cloud) + [
+            PulseSpec(OMEGA, np.zeros(3), 1e-6, transition=transition)]
+
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("evolved before rejecting the sequence")
+        monkeypatch.setattr("rydsources.blockade.evolve", no_evolution)
+        with pytest.raises(UnsupportedTransitionError):
             run_preparation_sequence(cloud, N50, pulses)
 
     def test_transfer_pulse_preserves_probabilities(self):

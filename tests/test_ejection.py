@@ -23,6 +23,11 @@ def eject_field():
     return state_potentials([(FORT, FORT_DET), (EJECT, EJECT_DET)])
 
 
+def dark_field():
+    return state_potentials([(GaussianBeam(power=0.0, waist=5e-6,
+                                           wavelength=1.06e-6), FORT_DET)])
+
+
 def fort_only_field():
     return state_potentials([(FORT, FORT_DET)])
 
@@ -78,12 +83,10 @@ class TestThermalSampling:
 
 class TestTrajectories:
     def test_free_flight_with_dark_beam(self):
-        dark = state_potentials([(GaussianBeam(power=0.0, waist=5e-6,
-                                               wavelength=1.06e-6),
-                                  FORT_DET)])
-        config = EjectConfig(duration=50e-6, temperature=0.0)
+        config = EjectConfig(duration=50e-6)
         v0 = np.array([0.1, -0.05, 0.02])
-        tr = simulate_trajectory((np.zeros(3), v0), dark, "b", config)
+        tr = simulate_trajectory((np.zeros(3), v0), dark_field(), "b",
+                                 config)
         expect = tr.times[:, None] * v0[None, :]
         np.testing.assert_allclose(tr.positions, expect, atol=1e-12)
         assert tr.total_photons_expected == 0.0
@@ -181,6 +184,19 @@ class TestRecoilKicks:
         mu = expected.mean()
         # Poisson mean check, 3 sigma
         assert abs(sampled.mean() - mu) < 3 * np.sqrt(mu / len(trs))
+
+    def test_dark_field_matches_smooth_run(self):
+        # no scattering: the photon integral never reaches its Exp(1) draw,
+        # so the kicked run takes exactly the smooth run's steps
+        initial = (np.zeros(3), np.array([0.1, -0.05, 0.02]))
+        smooth = simulate_trajectory(initial, dark_field(), "b",
+                                     EjectConfig(duration=50e-6))
+        kicked = simulate_trajectory(
+            initial, dark_field(), "b",
+            EjectConfig(duration=50e-6, include_recoil_kicks=True), seed=0)
+        assert kicked.photons_sampled == 0
+        np.testing.assert_array_equal(kicked.times, smooth.times)
+        np.testing.assert_array_equal(kicked.positions, smooth.positions)
 
     def test_kicks_perturb_trajectory(self):
         field = eject_field()
