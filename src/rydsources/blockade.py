@@ -16,7 +16,7 @@ from scipy.constants import hbar
 from scipy.integrate import solve_ivp
 
 from .ensemble import (mean_blockade_shift, pair_shift_magnitudes,
-                       sample_cloud)
+                       pair_shifts, sample_cloud)
 from .species import RB87
 
 # transition labels for PulseSpec
@@ -85,7 +85,7 @@ class PulseSpec:
 class CollectiveState:
     """Amplitudes over {ground, N singles, N(N-1)/2 doubles}.
 
-    Doubles are in lexicographic (j, k) order with j < k. Amplitudes are
+    Doubles are in `pdist` (j, k) order with j < k. Amplitudes are
     kept in the lab frame (traveling-wave phases included), which leaves
     all probabilities unchanged.
     """
@@ -213,9 +213,7 @@ def build_hamiltonian(cloud, coupling, pulse, allow_strong_driving=False):
     hbar Delta_jk on the double-excitation diagonal. Zero atom-field
     detuning.
     """
-    pos = cloud.positions
     N = cloud.n_atoms
-    pairs = cloud.pair_indices()
     if N >= 2 and pulse.rabi_magnitude > 0 and not allow_strong_driving:
         min_shift = float(np.min(pair_shift_magnitudes(cloud, coupling)))
         if pulse.rabi_magnitude / min_shift > STRONG_DRIVE_RATIO:
@@ -224,17 +222,16 @@ def build_hamiltonian(cloud, coupling, pulse, allow_strong_driving=False):
                 "double-excitation truncation is not valid "
                 "(pass allow_strong_driving=True to override)"
                 % (pulse.rabi_magnitude / min_shift, STRONG_DRIVE_RATIO))
-    dim = 1 + N + len(pairs)
+    j, k = np.triu_indices(N, 1)
+    dim = 1 + N + len(j)
+    rows = np.arange(1 + N, dim)
     H = np.zeros((dim, dim), dtype=complex)
-    omega_j = pulse.rabi_magnitude * np.exp(1j * pos @ pulse.wavevector)
-    for j in range(N):
-        H[1 + j, 0] = hbar * omega_j[j] / 2
-    for p, (j, k) in enumerate(pairs):
-        row = 1 + N + p
-        H[row, 1 + j] = hbar * omega_j[k] / 2
-        H[row, 1 + k] = hbar * omega_j[j] / 2
-        H[row, row] = hbar * coupling.shift_at(
-            np.linalg.norm(pos[j] - pos[k]))
+    omega_j = (pulse.rabi_magnitude
+               * np.exp(1j * cloud.positions @ pulse.wavevector))
+    H[1:1 + N, 0] = hbar * omega_j / 2
+    H[rows, 1 + j] = hbar * omega_j[k] / 2
+    H[rows, 1 + k] = hbar * omega_j[j] / 2
+    H[rows, rows] = hbar * pair_shifts(cloud, coupling)
     return H + H.conj().T - np.diag(np.diag(H))
 
 
@@ -362,7 +359,7 @@ def m_excitation_schedule(N, m, rabi, eject_time):
 
 
 def _fig1_trial(args):
-    (N, trial_seed, diameter, coupling, rabi, species, cap, method) = args
+    (N, trial_seed, diameter, coupling, rabi, species, cap) = args
     cloud = sample_cloud(N, diameter, trial_seed, species=species)
     if N >= 2:
         dbar = mean_blockade_shift(cloud, coupling)
@@ -378,7 +375,7 @@ def _fig1_trial(args):
                           duration=0.0)
         H = build_hamiltonian(cloud, coupling, pulse)
         t_pi = pi_pulse_time(N, rabi, dbar if N >= 2 else None)
-        final = evolve(CollectiveState.ground(N), H, t_pi, method=method)
+        final = evolve(CollectiveState.ground(N), H, t_pi)
         p0, _, p2 = final.probabilities()
         row["P_zero_full"] = p0
         row["P_double_full"] = p2
@@ -392,8 +389,7 @@ def trial_seed(master_seed, N, trial):
 
 
 def fig1_scan(N_values, trials, diameter, coupling, rabi, master_seed,
-              species=RB87, full_integrator_cap=0, workers=1,
-              method="exact"):
+              species=RB87, full_integrator_cap=0, workers=1):
     """Monte Carlo scan of P_zero and P_double versus atom number.
 
     Returns one dict per N with seed-averaged closed-form values and,
@@ -413,7 +409,7 @@ def fig1_scan(N_values, trials, diameter, coupling, rabi, master_seed,
         run = executor.map if executor else map
         for N in N_values:
             jobs = [(int(N), trial_seed(master_seed, N, t), diameter,
-                     coupling, rabi, species, full_integrator_cap, method)
+                     coupling, rabi, species, full_integrator_cap)
                     for t in range(trials)]
             results = list(run(_fig1_trial, jobs))
             row = {"N": int(N), "trials": int(trials)}

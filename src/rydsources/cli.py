@@ -19,7 +19,7 @@ from . import __version__
 from .blockade import (fig1_scan, m_excitation_schedule, trial_seed,
                        IntegrationError, TruncationError)
 from .config import (SCHEMAS, ConfigError, load_config, load_config_file,
-                     resolved_for_provenance, species_from_config)
+                     species_from_config)
 from .ejection import (EjectConfig, NoEscapeError, NotEjectedError,
                        characteristic_eject_time, collimation_stats,
                        sample_thermal_initial, scan_fig2,
@@ -28,8 +28,8 @@ from .emission import (EmissionGeometry, GridResolutionError,
                        double_excitation_at, jittered_pattern,
                        pattern_metrics, single_photon_pattern)
 from .ensemble import RydbergCoupling, SamplingError, sample_cloud
-from .optics import (GaussianBeam, StateDetunings, scattering_rate,
-                     state_potentials)
+from .optics import (GaussianBeam, ResonantLightError, StateDetunings,
+                     scattering_rate, state_potentials)
 
 _NUMERICAL_ERRORS = (IntegrationError, TruncationError, NotEjectedError,
                      NoEscapeError, GridResolutionError, SamplingError,
@@ -41,7 +41,7 @@ def _provenance(subcommand, cfg):
         "artifact_version": __version__,
         "subcommand": subcommand,
         "master_seed": cfg["seed"],
-        "config": resolved_for_provenance(cfg),
+        "config": cfg,
     }
 
 
@@ -326,21 +326,29 @@ def main(argv=None):
             if not args.strict:
                 with open(args.config) as fh:
                     raw = json.load(fh)
-                raw = {k: v for k, v in raw.items()
-                       if k in SCHEMAS[args.subcommand]}
+                if isinstance(raw, dict):   # load_config rejects the rest
+                    raw = {k: v for k, v in raw.items()
+                           if k in SCHEMAS[args.subcommand]}
                 cfg = load_config(args.subcommand, raw)
             else:
                 cfg = load_config_file(args.subcommand, args.config)
         else:
             cfg = load_config(args.subcommand, {})
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            # checked by the same rule as a seed in the config file
+            cfg["seed"] = load_config(args.subcommand,
+                                      {"seed": args.seed})["seed"]
+        os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     try:
         return _RUNNERS[args.subcommand](cfg, args.out, workers=args.workers)
+    except ResonantLightError as exc:
+        # a zero detuning comes from the config; run_eject evaluates the
+        # field before it writes any output
+        print("config error: %s" % exc, file=sys.stderr)
+        return 2
     except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3

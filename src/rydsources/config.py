@@ -7,8 +7,6 @@ loudly. Parsed configs resolve to SI (angular frequencies in rad/s).
 
 import json
 
-import numpy as np
-
 from .species import AtomicSpecies
 from .units import parse_quantity, UnitError
 
@@ -18,8 +16,7 @@ class ConfigError(ValueError):
 
 
 # schema: key -> (kind, default). kind is a units.parse_quantity kind,
-# or one of: int, float, bool, int_list, str, vector_length (3-vector of
-# length strings), nested dict schema.
+# or one of: int, float, bool, int_list, nested dict schema.
 _SPECIES_SCHEMA = {
     "mass": ("mass", None),
     "linewidth": ("frequency", None),
@@ -88,10 +85,10 @@ SCHEMAS = {
 
 
 # ranges of parsed values (of every entry, for lists), checked at load
-_AT_LEAST = {"N_values": 1, "trials": 1, "N": 1, "m": 1, "principal_n": 1,
-             "trajectories": 1, "trajectories_a": 1, "grid_points": 2,
-             "fort_power": 0, "eject_power": 0, "temperature": 0,
-             "jitter_sigma": 0, "eject_time": 0}
+_AT_LEAST = {"seed": 0, "N_values": 1, "trials": 1, "N": 1, "m": 1,
+             "principal_n": 1, "trajectories": 1, "trajectories_a": 1,
+             "grid_points": 2, "fort_power": 0, "eject_power": 0,
+             "temperature": 0, "jitter_sigma": 0, "eject_time": 0}
 _POSITIVE = {"diameter", "cloud_diameter", "rabi", "anchor_separation",
              "anchor_shift", "duration", "tolerance", "fort_waist",
              "eject_waist", "fort_wavelength", "eject_wavelength", "lambda4",
@@ -108,6 +105,10 @@ def _check_ranges(cfg):
             raise ConfigError("%s: must be positive, got %r" % (key, value))
     if "m" in cfg and cfg["m"] > cfg["N"]:
         raise ConfigError("m: %d exceeds N = %d" % (cfg["m"], cfg["N"]))
+    try:
+        species_from_config(cfg)
+    except ValueError as exc:
+        raise ConfigError("species: %s" % exc) from None
 
 
 def _parse_value(key, kind, raw):
@@ -134,10 +135,6 @@ def _parse_value(key, kind, raw):
             raise ConfigError("%s: expected a nonempty list of integers"
                               % key)
         return list(raw)
-    if kind == "str":
-        if not isinstance(raw, str):
-            raise ConfigError("%s: expected a string" % key)
-        return raw
     try:
         return parse_quantity(raw, kind)
     except UnitError as exc:
@@ -190,18 +187,3 @@ def species_from_config(cfg):
     kwargs = {rename.get(k, k): v for k, v in overrides.items()
               if v is not None}
     return AtomicSpecies(**kwargs)
-
-
-def resolved_for_provenance(cfg):
-    """JSON-safe copy of a resolved config (SI values, sorted keys)."""
-    def conv(v):
-        if isinstance(v, dict):
-            return {k: conv(v[k]) for k in sorted(v)}
-        if isinstance(v, np.ndarray):
-            return list(map(float, v))
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        return v
-    return conv(cfg)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.constants import hbar, k as k_B
 from scipy.integrate import solve_ivp
 
-from .ensemble import sample_ball
+from .ensemble import sample_ball, sample_directions
 from .optics import scattering_rate
 from .species import RB87
 
@@ -34,19 +34,18 @@ class NoEscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class EjectConfig:
+    """Trajectory settings; the trap is centered at the origin."""
+
     duration: float = 300e-6                       # s
     tolerance: float = 1e-10
     include_recoil_kicks: bool = False
     gravity: bool = False
     fort_waist: float = 5e-6                       # m, sets escape radius
-    trap_center: np.ndarray = (0.0, 0.0, 0.0)
     region_radius: float = 60e-6                   # m, field region bound
 
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError("duration must be positive")
-        object.__setattr__(self, "trap_center",
-                           np.asarray(self.trap_center, dtype=float))
 
     @property
     def escape_radius(self):
@@ -60,7 +59,7 @@ class TrajectoryResult:
     velocities: np.ndarray              # (n, 3)
     photons_expected: np.ndarray        # running integral of the rate
     photons_sampled: int = None         # kicks applied, kicks only
-    escaped: bool = False               # |r - center| > 3 w_FORT, E > 0
+    escaped: bool = False               # |r| > 3 w_FORT, E > 0
     escape_time: float = None
     sweep_time: float = None            # first displacement > w_FORT
     exit_direction: np.ndarray = None
@@ -112,7 +111,6 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     r0, v0 = (np.asarray(initial[0], dtype=float),
               np.asarray(initial[1], dtype=float))
     mass = field_.species.mass
-    center = config.trap_center
 
     def rhs(t, y):
         _, force, rate = field_.evaluate(y[:3], state)
@@ -122,7 +120,7 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
         return np.concatenate([y[3:6], a, [rate]])
 
     def region_event(t, y):
-        return np.linalg.norm(y[:3] - center) - config.region_radius
+        return np.linalg.norm(y[:3]) - config.region_radius
     region_event.terminal = True
     region_event.direction = 1
     events = [region_event]
@@ -160,7 +158,7 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
             break                   # reached the end or left the region
         # the photon integral crossed its Exp(1) draw: one scattering event
         t, y = sol.t[-1], sol.y[:, -1].copy()
-        y[3:6] += hk * eject_beam.axis + hk * _isotropic_direction(rng)
+        y[3:6] += hk * eject_beam.axis + hk * sample_directions(rng, 1)[0]
         states[-1][-1] = y
         photons_sampled += 1
         next_kick = y[6] + rng.exponential()
@@ -179,10 +177,10 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
         photons_expected=states[:, 6],
         photons_sampled=photons_sampled,
     )
-    result.truncated = (np.linalg.norm(states[-1, :3] - center)
+    result.truncated = (np.linalg.norm(states[-1, :3])
                         >= config.region_radius * (1 - 1e-9))
 
-    radii = np.linalg.norm(result.positions - center, axis=1)
+    radii = np.linalg.norm(result.positions, axis=1)
     energies = (0.5 * mass * np.sum(result.velocities ** 2, axis=1)
                 + field_.potential(result.positions, state))
     outside = (radii > config.escape_radius) & (energies > 0)
@@ -197,13 +195,6 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     if np.any(swept):
         result.sweep_time = float(result.times[int(np.argmax(swept))])
     return result
-
-
-def _isotropic_direction(rng):
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2 * np.pi)
-    s = np.sqrt(1 - z * z)
-    return np.array([s * np.cos(phi), s * np.sin(phi), z])
 
 
 def collimation_stats(trajectories, coherent_acceleration, eject_time,

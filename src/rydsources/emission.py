@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import k as k_B
 
+from .ensemble import sample_directions
+
 
 class GridResolutionError(ValueError):
     """Angular grid too coarse to resolve the emission lobe."""
@@ -124,9 +126,7 @@ def _pattern_values(positions, q_offset, k4, directions):
     return vals.reshape(dirs.shape[:-1])
 
 
-def _make_pattern(cloud, q_offset, k4, n_theta):
-    positions = cloud.positions
-
+def _make_pattern(positions, q_offset, k4, n_theta):
     def evaluator(directions):
         return _pattern_values(positions, q_offset, k4, directions)
 
@@ -137,12 +137,12 @@ def _make_pattern(cloud, q_offset, k4, n_theta):
                      np.cos(tt)], axis=-1)
     values = evaluator(dirs)
     return AngularPattern(theta=theta, phi_az=phi, values=values,
-                          n_atoms=cloud.n_atoms, evaluator=evaluator)
+                          n_atoms=positions.shape[0], evaluator=evaluator)
 
 
 def single_photon_pattern(cloud, geometry, n_theta=181):
     """Far-field single-photon pattern on an (n_theta x 2 n_theta) grid."""
-    return _make_pattern(cloud, geometry.matching_vector,
+    return _make_pattern(cloud.positions, geometry.matching_vector,
                          geometry.k4_magnitude, n_theta)
 
 
@@ -161,7 +161,7 @@ def double_excitation_pattern(cloud, geometry, n_theta=181):
     Evaluates the mismatch phase k4 - 2(k1 + k2) + k3 on the grid; warns
     if the geometry pathologically phase-matches this channel.
     """
-    return _make_pattern(cloud, _double_offset(geometry),
+    return _make_pattern(cloud.positions, _double_offset(geometry),
                          geometry.k4_magnitude, n_theta)
 
 
@@ -257,20 +257,13 @@ def pattern_metrics(pattern, background_seed=0, background_samples=2000):
             "(need >= 8 points across); refine the grid"
             % (pattern.grid_spacing, fwhm))
     rng = np.random.default_rng(background_seed)
-    dirs = _random_directions(rng, background_samples)
+    dirs = sample_directions(rng, background_samples)
     outside = dirs @ n < np.cos(3 * fwhm)
     bg = float(np.mean(pattern.evaluator(dirs[outside])))
     return PatternMetrics(peak_direction=n, peak_value=peak_value,
                           fwhm_cuts=tuple(float(f) for f in fwhm_cuts),
                           mean_background=bg,
                           peak_to_background=peak_value / bg)
-
-
-def _random_directions(rng, n):
-    z = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2 * np.pi, n)
-    s = np.sqrt(1 - z * z)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
 
 
 def motional_blur(T, t_prep, species, lambda4=0.78e-6):
@@ -293,20 +286,13 @@ def jittered_pattern(cloud, geometry, sigma, trials, seed, n_theta=181):
     if sigma == 0:
         return single_photon_pattern(cloud, geometry, n_theta)
     rng = np.random.default_rng(seed)
-    base = None
-    accum = None
-    from .ensemble import AtomCloud
+    accum = 0.0
     for _ in range(trials):
         jitter = rng.normal(0.0, sigma, size=cloud.positions.shape)
-        shaken = AtomCloud(positions=cloud.positions + jitter,
-                           diameter=cloud.diameter + 20 * sigma,
-                           master_seed=cloud.master_seed,
-                           species=cloud.species)
-        pat = single_photon_pattern(shaken, geometry, n_theta)
-        if accum is None:
-            base, accum = pat, pat.values.copy()
-        else:
-            accum += pat.values
-    return AngularPattern(theta=base.theta, phi_az=base.phi_az,
+        pat = _make_pattern(cloud.positions + jitter,
+                            geometry.matching_vector, geometry.k4_magnitude,
+                            n_theta)
+        accum = accum + pat.values
+    return AngularPattern(theta=pat.theta, phi_az=pat.phi_az,
                           values=accum / trials, n_atoms=cloud.n_atoms,
                           evaluator=None)

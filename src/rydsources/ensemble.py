@@ -5,11 +5,11 @@ Delta_jk = -f(n) e^2 a0^2 / (4 pi eps0 hbar |r_j - r_k|^3)  [rad/s]
 with f(n) = f_coefficient * n^6 calibrated from a single anchor point
 (by default n = 50 and 5 um separation giving |Delta|/2pi = 100 MHz).
 The ensemble blockade scale is the harmonic mean of |Delta_jk| over all
-pairs.
+pairs. Pairs j < k are always in `pdist` order, which is the order of
+`np.triu_indices(N, 1)`. Uniform unit directions are also sampled here.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.constants import hbar, epsilon_0, e as _e_charge, physical_constants
@@ -57,7 +57,7 @@ class RydbergCoupling:
         return self.f_coefficient * self.principal_n ** 6
 
     def shift_at(self, separation):
-        """Signed pair shift (rad/s) at a scalar separation (m)."""
+        """Signed pair shift (rad/s) at separation(s) (m)."""
         return -self.f_of_n * _SHIFT_PREFACTOR / (hbar * separation ** 3)
 
     @classmethod
@@ -94,10 +94,6 @@ class AtomCloud:
     @property
     def n_atoms(self):
         return self.positions.shape[0]
-
-    def pair_indices(self):
-        """Lexicographic (j, k) pair order, j < k."""
-        return list(combinations(range(self.n_atoms), 2))
 
 
 def sample_cloud(N, diameter, seed, species=RB87,
@@ -142,6 +138,14 @@ def sample_ball(rng, N, radius, min_separation=0.0):
     return accepted
 
 
+def sample_directions(rng, n):
+    """n unit vectors (n, 3) uniform on the sphere, drawn from `rng`."""
+    z = rng.uniform(-1.0, 1.0, n)
+    phi = rng.uniform(0.0, 2 * np.pi, n)
+    s = np.sqrt(1 - z * z)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+
+
 def pair_shift(coupling, r_j, r_k):
     """Signed dipole-dipole shift (rad/s) for one atom pair."""
     r_j = np.asarray(r_j, dtype=float)
@@ -152,13 +156,18 @@ def pair_shift(coupling, r_j, r_k):
     return coupling.shift_at(sep)
 
 
-def pair_shift_magnitudes(cloud, coupling):
-    """|Delta_jk| (rad/s) for every pair, lexicographic order."""
+def pair_shifts(cloud, coupling):
+    """Signed Delta_jk (rad/s) for every pair j < k, in `pdist` order."""
     from scipy.spatial.distance import pdist
-    seps = pdist(cloud.positions)     # lexicographic pair order
+    seps = pdist(cloud.positions)
     if np.any(seps == 0):
         raise ValueError("zero separation between atoms")
-    return np.abs(coupling.f_of_n * _SHIFT_PREFACTOR / (hbar * seps ** 3))
+    return coupling.shift_at(seps)
+
+
+def pair_shift_magnitudes(cloud, coupling):
+    """|Delta_jk| (rad/s) for every pair j < k, in `pdist` order."""
+    return np.abs(pair_shifts(cloud, coupling))
 
 
 def mean_blockade_shift(cloud, coupling):

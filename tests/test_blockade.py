@@ -36,6 +36,27 @@ def equal_pair_cloud(n):
     return AtomCloud(positions=pos, diameter=12e-6, master_seed=0)
 
 
+def loop_hamiltonian(cloud, coupling, pulse):
+    """Reference: the per-atom and per-pair loops build_hamiltonian
+    replaced (strong-drive guard left out)."""
+    from itertools import combinations
+    pos = cloud.positions
+    N = cloud.n_atoms
+    pairs = list(combinations(range(N), 2))
+    dim = 1 + N + len(pairs)
+    H = np.zeros((dim, dim), dtype=complex)
+    omega_j = pulse.rabi_magnitude * np.exp(1j * pos @ pulse.wavevector)
+    for j in range(N):
+        H[1 + j, 0] = hbar * omega_j[j] / 2
+    for p, (j, k) in enumerate(pairs):
+        row = 1 + N + p
+        H[row, 1 + j] = hbar * omega_j[k] / 2
+        H[row, 1 + k] = hbar * omega_j[j] / 2
+        H[row, row] = hbar * coupling.shift_at(
+            np.linalg.norm(pos[j] - pos[k]))
+    return H + H.conj().T - np.diag(np.diag(H))
+
+
 class TestClosedForms:
     def test_l_factor_single_atom(self):
         assert l_factor(1, OMEGA) == 1.0
@@ -125,6 +146,16 @@ class TestHamiltonian:
         assert H[3, 3].real < 0
         assert H[1, 0] == pytest.approx(hbar * OMEGA / 2)
         assert H[3, 1] == pytest.approx(hbar * OMEGA / 2)
+
+    @pytest.mark.parametrize("k_norm", [0.0, TWO_PI / 780e-9])
+    @pytest.mark.parametrize("N", [1, 2, 5, 12])
+    def test_matches_loop_reference(self, N, k_norm):
+        cloud = sample_cloud(N, 5e-6, seed=N)
+        k = k_norm * np.array([1.0, -2.0, 2.0]) / 3
+        pulse = PulseSpec(OMEGA, k, 1e-6)
+        np.testing.assert_allclose(build_hamiltonian(cloud, N50, pulse),
+                                   loop_hamiltonian(cloud, N50, pulse),
+                                   rtol=1e-14, atol=0)
 
     def test_hermiticity_random_cloud(self):
         cloud = sample_cloud(10, 5e-6, seed=9)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rydsources.cli import main
-from rydsources.config import (ConfigError, load_config, load_config_file,
-                               resolved_for_provenance, species_from_config)
+from rydsources.config import (SCHEMAS, ConfigError, load_config,
+                               load_config_file, species_from_config)
 
 TWO_PI = 2 * np.pi
 
@@ -70,9 +70,9 @@ class TestConfig:
         assert sp.mass == pytest.approx(1.443e-25, rel=1e-3)
 
     def test_provenance_json_safe(self):
-        cfg = load_config("emission", {})
-        blob = resolved_for_provenance(cfg)
-        json.dumps(blob)    # raises if anything non-serializable remains
+        # raises if anything non-serializable remains
+        for subcommand in SCHEMAS:
+            json.dumps(load_config(subcommand, {}))
 
 
 SMALL_FIG1 = {"N_values": [1, 2, 5, 10], "trials": 3,
@@ -200,13 +200,39 @@ class TestCliErrors:
         ("eject", {"trajectories": 0}),
         ("eject", {"duration": "-1 us"}),
         ("emission", {"grid_points": 1}),
+        ("eject", {"eject_detuning_b": "0 GHz"}),
+        ("eject", {"fort_wavelength": "780 nm"}),
+        ("fig1", {"species": {"mass": "-1 kg"}}),
+        ("emission", {"seed": -5}),
     ])
     def test_out_of_range_exit_code(self, tmp_path, capsys, subcommand,
                                     payload):
         cfg = write_config(tmp_path, payload)
-        assert main([subcommand, "--config", cfg, "--out", str(tmp_path),
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out),
                      "--workers", "1"]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("subcommand, flags", [
+        ("emission", ["--seed", "-5"]),
+        ("eject", ["--seed", "-5"]),
+        ("schedule", ["--out", "taken"]),
+        ("schedule", ["--config", "root.json", "--no-strict"]),
+    ])
+    def test_bad_argument_exit_code(self, tmp_path, monkeypatch, capsys,
+                                    subcommand, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "root.json").write_text("[1]")
+        # a later --out overrides the first one
+        assert main([subcommand, "--out", "out", "--workers", "1"]
+                    + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # eject beam off: |b> is never ejected -> exit 3

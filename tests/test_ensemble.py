@@ -4,7 +4,7 @@ import pytest
 from rydsources.ensemble import (AtomCloud, RydbergCoupling, SamplingError,
                                  mean_blockade_shift, pair_shift,
                                  pair_shift_magnitudes, sample_cloud,
-                                 MIN_PAIR_SEPARATION)
+                                 sample_directions, MIN_PAIR_SEPARATION)
 
 TWO_PI = 2 * np.pi
 N50 = RydbergCoupling.calibrated(50)
@@ -51,6 +51,18 @@ class TestSampling:
     def test_cloud_rejects_outside_points(self):
         with pytest.raises(ValueError):
             AtomCloud(positions=[[3e-6, 0, 0]], diameter=5e-6, master_seed=0)
+
+
+class TestSampleDirections:
+    def test_unit_norm_and_zero_mean(self):
+        n = 20000
+        dirs = sample_directions(np.random.default_rng(21), n)
+        assert dirs.shape == (n, 3)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
+        # each component of a uniform unit vector has variance 1/3
+        sigma = np.sqrt(1 / 3) / np.sqrt(n)
+        assert np.all(np.abs(dirs.mean(axis=0)) < 3 * sigma)
 
 
 class TestPairShift:
