@@ -149,9 +149,8 @@ def run_eject(cfg, out_dir, workers=1):
     species = species_from_config(cfg)
     field, fort, eject, eject_det = _eject_field(cfg, species)
     center = np.zeros(3)
-    # escape direction: away from the eject-beam center
-    direction = -np.array([cfg["eject_offset"], 0, 0])
-    direction = direction / np.linalg.norm(direction)
+    # escape direction: away from the eject-beam center (none if centred)
+    direction = np.array([-np.sign(cfg["eject_offset"]), 0.0, 0.0])
     accel_b = float(field.acceleration(center, "b") @ direction)
     t1 = characteristic_eject_time(accel_b, cfg["fort_waist"])
 
@@ -277,8 +276,6 @@ def run_emission(cfg, out_dir, workers=1):
         })
         if cfg["jitter_sigma"] > 0:
             jp = jittered_pattern(first_cloud, geometry, cfg["jitter_sigma"],
-                                  cfg["trials"],
-                                  trial_seed(cfg["seed"], N, 10 ** 6),
                                   cfg["grid_points"])
             _write_pattern_csv(
                 os.path.join(out_dir, "pattern_N%d_jittered.csv" % N),
@@ -338,6 +335,7 @@ def main(argv=None):
             # checked by the same rule as a seed in the config file
             cfg["seed"] = load_config(args.subcommand,
                                       {"seed": args.seed})["seed"]
+        created = not os.path.isdir(args.out)
         os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
@@ -346,7 +344,9 @@ def main(argv=None):
         return _RUNNERS[args.subcommand](cfg, args.out, workers=args.workers)
     except ResonantLightError as exc:
         # a zero detuning comes from the config; run_eject evaluates the
-        # field before it writes any output
+        # field before it writes any output, so the directory is empty
+        if created:
+            os.rmdir(args.out)
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -6,6 +6,7 @@ loudly. Parsed configs resolve to SI (angular frequencies in rad/s).
 """
 
 import json
+import sys
 
 from .species import AtomicSpecies
 from .units import parse_quantity, UnitError
@@ -121,8 +122,11 @@ def _parse_value(key, kind, raw):
             raise ConfigError("%s: expected an integer, got %r" % (key, raw))
         return raw
     if kind == "float":
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise ConfigError("%s: expected a number, got %r" % (key, raw))
+        # also rejects inf, nan and ints beyond the float range
+        if (not isinstance(raw, (int, float)) or isinstance(raw, bool)
+                or not abs(raw) <= sys.float_info.max):
+            raise ConfigError("%s: expected a finite number, got %r"
+                              % (key, raw))
         return float(raw)
     if kind == "bool":
         if not isinstance(raw, bool):

@@ -9,11 +9,10 @@ not phase matched at the single-photon peak for tilted geometries.
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.constants import k as k_B
-
-from .ensemble import sample_directions
 
 
 class GridResolutionError(ValueError):
@@ -103,7 +102,7 @@ class PatternMetrics:
     peak_direction: np.ndarray
     peak_value: float
     fwhm_cuts: tuple                    # rad, two orthogonal great circles
-    mean_background: float              # sampled outside 3x FWHM
+    mean_background: float              # solid-angle grid mean > 3 FWHM out
     peak_to_background: float
 
     @property
@@ -113,7 +112,8 @@ class PatternMetrics:
 
 def _dir_from_angles(theta, phi):
     st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
+                    axis=-1)
 
 
 def _pattern_values(positions, q_offset, k4, directions):
@@ -126,24 +126,20 @@ def _pattern_values(positions, q_offset, k4, directions):
     return vals.reshape(dirs.shape[:-1])
 
 
-def _make_pattern(positions, q_offset, k4, n_theta):
-    def evaluator(directions):
-        return _pattern_values(positions, q_offset, k4, directions)
-
+def _make_pattern(evaluator, n_theta, n_atoms):
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2 * np.pi, 2 * n_theta, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    dirs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
-                     np.cos(tt)], axis=-1)
-    values = evaluator(dirs)
-    return AngularPattern(theta=theta, phi_az=phi, values=values,
-                          n_atoms=positions.shape[0], evaluator=evaluator)
+    dirs = _dir_from_angles(*np.meshgrid(theta, phi, indexing="ij"))
+    return AngularPattern(theta=theta, phi_az=phi, values=evaluator(dirs),
+                          n_atoms=n_atoms, evaluator=evaluator)
 
 
 def single_photon_pattern(cloud, geometry, n_theta=181):
     """Far-field single-photon pattern on an (n_theta x 2 n_theta) grid."""
-    return _make_pattern(cloud.positions, geometry.matching_vector,
-                         geometry.k4_magnitude, n_theta)
+    return _make_pattern(partial(_pattern_values, cloud.positions,
+                                 geometry.matching_vector,
+                                 geometry.k4_magnitude),
+                         n_theta, cloud.n_atoms)
 
 
 def _double_offset(geometry):
@@ -161,8 +157,10 @@ def double_excitation_pattern(cloud, geometry, n_theta=181):
     Evaluates the mismatch phase k4 - 2(k1 + k2) + k3 on the grid; warns
     if the geometry pathologically phase-matches this channel.
     """
-    return _make_pattern(cloud.positions, _double_offset(geometry),
-                         geometry.k4_magnitude, n_theta)
+    return _make_pattern(partial(_pattern_values, cloud.positions,
+                                 _double_offset(geometry),
+                                 geometry.k4_magnitude),
+                         n_theta, cloud.n_atoms)
 
 
 def double_excitation_at(cloud, geometry, directions):
@@ -221,7 +219,7 @@ def _cut_fwhm(evaluator, peak_dir, tangent, half_level, max_angle=1.5,
     return right - left
 
 
-def pattern_metrics(pattern, background_seed=0, background_samples=2000):
+def pattern_metrics(pattern):
     """Peak direction/value, FWHM on two principal cuts, background.
 
     The peak is refined from the grid argmax with the pattern's exact
@@ -256,10 +254,10 @@ def pattern_metrics(pattern, background_seed=0, background_samples=2000):
             "grid spacing %.4f rad does not resolve the %.4f rad lobe "
             "(need >= 8 points across); refine the grid"
             % (pattern.grid_spacing, fwhm))
-    rng = np.random.default_rng(background_seed)
-    dirs = sample_directions(rng, background_samples)
-    outside = dirs @ n < np.cos(3 * fwhm)
-    bg = float(np.mean(pattern.evaluator(dirs[outside])))
+    dirs = _dir_from_angles(*np.meshgrid(pattern.theta, pattern.phi_az,
+                                         indexing="ij"))
+    weights = np.sin(pattern.theta)[:, None] * (dirs @ n < np.cos(3 * fwhm))
+    bg = float(np.sum(weights * pattern.values) / np.sum(weights))
     return PatternMetrics(peak_direction=n, peak_value=peak_value,
                           fwhm_cuts=tuple(float(f) for f in fwhm_cuts),
                           mean_background=bg,
@@ -279,20 +277,20 @@ def motional_blur(T, t_prep, species, lambda4=0.78e-6):
     return float(dx), float(dx / lambda4)
 
 
-def jittered_pattern(cloud, geometry, sigma, trials, seed, n_theta=181):
-    """Average the single-photon pattern over Gaussian position jitter."""
+def jittered_pattern(cloud, geometry, sigma, n_theta=181):
+    """Exact mean pattern under Gaussian jitter of sigma per axis: the
+    Debye-Waller factor exp(-|q|^2 sigma^2) damps the cross terms of
+    P(q) and not its unit self term, so <P> = 1 + exp(...) (P(q) - 1)."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return single_photon_pattern(cloud, geometry, n_theta)
-    rng = np.random.default_rng(seed)
-    accum = 0.0
-    for _ in range(trials):
-        jitter = rng.normal(0.0, sigma, size=cloud.positions.shape)
-        pat = _make_pattern(cloud.positions + jitter,
-                            geometry.matching_vector, geometry.k4_magnitude,
-                            n_theta)
-        accum = accum + pat.values
-    return AngularPattern(theta=pat.theta, phi_az=pat.phi_az,
-                          values=accum / trials, n_atoms=cloud.n_atoms,
-                          evaluator=None)
+    k4, q_offset = geometry.k4_magnitude, geometry.matching_vector
+
+    def evaluator(directions):
+        q = k4 * np.asarray(directions, dtype=float) - q_offset
+        coherent = _pattern_values(cloud.positions, q_offset, k4, directions)
+        return 1 + np.exp(-np.sum(q ** 2, axis=-1) * sigma ** 2) * (
+            coherent - 1)
+
+    return _make_pattern(evaluator, n_theta, cloud.n_atoms)

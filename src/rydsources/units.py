@@ -65,4 +65,7 @@ def parse_quantity(text, kind):
     if parts[1] not in table:
         raise UnitError("unknown %s unit %r in %r (known: %s)"
                         % (kind, parts[1], text, ", ".join(sorted(table))))
-    return value * table[parts[1]]
+    value *= table[parts[1]]
+    if not math.isfinite(value):
+        raise UnitError("%r is not a finite quantity" % (text,))
+    return value

@@ -1,13 +1,56 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rydsources.cli import main
 from rydsources.config import (SCHEMAS, ConfigError, load_config,
                                load_config_file, species_from_config)
 
 TWO_PI = 2 * np.pi
+
+# JSON values for the config fuzz, non-finite numbers included
+FUZZ_NUMBERS = st.one_of(st.floats(), st.integers(), st.just(10 ** 400),
+                         st.sampled_from(["inf", "-inf", "nan", "1e400"]))
+FUZZ_UNITS = {"length": "um", "time": "us", "frequency": "MHz",
+              "power": "mW", "temperature": "uK", "angle": "deg",
+              "mass": "kg", "intensity": "W/m^2"}
+FUZZ_QUANTITIES = st.builds("{} {}".format, FUZZ_NUMBERS, st.sampled_from(
+    sorted(FUZZ_UNITS.values()) + ["nm", "GHz", "K", "rad", "parsec"]))
+FUZZ_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), FUZZ_NUMBERS, FUZZ_QUANTITIES),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+
+def _fuzz_value(kind):
+    """Any JSON value, or one of the right shape for `kind`, so that
+    some payloads get past the type checks to the range checks."""
+    if isinstance(kind, dict):
+        typed = st.fixed_dictionaries({}, optional={
+            k: _fuzz_value(sub_kind) for k, (sub_kind, _) in kind.items()})
+    elif kind in FUZZ_UNITS:
+        typed = st.builds("{} {}".format, FUZZ_NUMBERS,
+                          st.just(FUZZ_UNITS[kind]))
+    else:
+        typed = {"int": st.integers(), "float": FUZZ_NUMBERS,
+                 "bool": st.booleans(),
+                 "int_list": st.lists(st.integers(), max_size=3)}[kind]
+    return st.one_of(typed, FUZZ_VALUES)
+
+
+def _floats(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _floats(v)
+    elif isinstance(value, float):
+        yield value
 
 
 class TestConfig:
@@ -52,6 +95,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("eject", {"gravity": 1})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                       10 ** 400],
+                             ids=["inf", "-inf", "nan", "int-1e400"])
+    def test_non_finite_float_rejected(self, value):
+        # a CLI run with "tolerance": Infinity hung in the integrator
+        with pytest.raises(ConfigError, match="finite"):
+            load_config("eject", {"tolerance": value})
+
     def test_unknown_subcommand(self):
         with pytest.raises(ConfigError):
             load_config("fig3", {})
@@ -73,6 +124,20 @@ class TestConfig:
         # raises if anything non-serializable remains
         for subcommand in SCHEMAS:
             json.dumps(load_config(subcommand, {}))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_config_rejected_or_finite(self, data):
+        subcommand = data.draw(st.sampled_from(sorted(SCHEMAS)))
+        schema = SCHEMAS[subcommand]
+        keys = data.draw(st.lists(st.sampled_from(sorted(schema)),
+                                  max_size=4, unique=True))
+        payload = {k: data.draw(_fuzz_value(schema[k][0])) for k in keys}
+        try:
+            cfg = load_config(subcommand, payload)
+        except ConfigError:
+            return
+        assert all(math.isfinite(v) for v in _floats(cfg))
 
 
 SMALL_FIG1 = {"N_values": [1, 2, 5, 10], "trials": 3,
@@ -204,6 +269,10 @@ class TestCliErrors:
         ("eject", {"fort_wavelength": "780 nm"}),
         ("fig1", {"species": {"mass": "-1 kg"}}),
         ("emission", {"seed": -5}),
+        ("eject", {"cloud_diameter": "inf um"}),
+        ("eject", {"temperature": "inf K"}),
+        ("fig1", {"anchor_shift": "1e400 MHz"}),
+        ("emission", {"tilt_angle": "nan deg"}),
     ])
     def test_out_of_range_exit_code(self, tmp_path, capsys, subcommand,
                                     payload):
@@ -213,7 +282,7 @@ class TestCliErrors:
                      "--workers", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand, flags", [
         ("emission", ["--seed", "-5"]),
@@ -233,6 +302,15 @@ class TestCliErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
         assert (tmp_path / "taken").read_text() == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_centred_eject_beam_exit_code(self, tmp_path, capsys):
+        # no offset, so no gradient at the trap center and no direction
+        cfg = write_config(tmp_path, {"eject_offset": "0 um"})
+        assert main(["eject", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: net acceleration 0")
+        assert err.count("\n") == 1
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # eject beam off: |b> is never ejected -> exit 3

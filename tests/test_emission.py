@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,31 @@ from rydsources.emission import (AngularPattern, EmissionGeometry,
                                  expected_peak_direction, jittered_pattern,
                                  motional_blur, pattern_metrics,
                                  single_photon_pattern)
-from rydsources.ensemble import sample_cloud
+from rydsources.ensemble import sample_cloud, sample_directions
 from rydsources.species import RB87
 
 TWO_PI = 2 * np.pi
 LAMBDA4 = 0.78e-6
+
+
+def grid_directions(pattern):
+    tt, pp = np.meshgrid(pattern.theta, pattern.phi_az, indexing="ij")
+    return np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
+                     np.cos(tt)], axis=-1)
+
+
+def monte_carlo_jitter(cloud, geometry, sigma, trials, seed, n_theta):
+    """Mean and standard error of the pattern over `trials` jittered
+    copies of the cloud: the reference for the closed form."""
+    rng = np.random.default_rng(seed)
+    grids = []
+    for _ in range(trials):
+        jitter = rng.normal(0.0, sigma, size=cloud.positions.shape)
+        moved = SimpleNamespace(positions=cloud.positions + jitter,
+                                n_atoms=cloud.n_atoms)
+        grids.append(single_photon_pattern(moved, geometry, n_theta).values)
+    grids = np.array(grids)
+    return grids.mean(axis=0), grids.std(axis=0, ddof=1) / np.sqrt(trials)
 
 
 class TestGeometry:
@@ -132,6 +154,19 @@ class TestPatternMetrics:
         with pytest.raises(GridResolutionError):
             pattern_metrics(pattern)
 
+    @pytest.mark.parametrize("N", [20, 50])
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    def test_grid_background_matches_sampled(self, N, tilt):
+        geo = (EmissionGeometry.tilted(tilt, LAMBDA4) if tilt
+               else EmissionGeometry.collinear_degenerate(LAMBDA4))
+        pattern = single_photon_pattern(sample_cloud(N, 5e-6, seed=N), geo)
+        metrics = pattern_metrics(pattern)
+        dirs = sample_directions(np.random.default_rng(N), 200_000)
+        dirs = dirs[dirs @ metrics.peak_direction < np.cos(3 * metrics.fwhm)]
+        sampled = np.mean(np.concatenate(
+            [pattern.evaluator(d) for d in np.array_split(dirs, 20)]))
+        assert metrics.mean_background == pytest.approx(sampled, rel=0.01)
+
     def test_missing_evaluator_rejected(self):
         pattern = AngularPattern(theta=np.linspace(0, np.pi, 5),
                                  phi_az=np.linspace(0, TWO_PI, 10,
@@ -187,22 +222,47 @@ class TestJitteredPattern:
         cloud = sample_cloud(30, 5e-6, seed=11)
         geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
         base = single_photon_pattern(cloud, geo, n_theta=41)
-        jp = jittered_pattern(cloud, geo, 0.0, 5, seed=0, n_theta=41)
+        jp = jittered_pattern(cloud, geo, 0.0, n_theta=41)
         np.testing.assert_array_equal(jp.values, base.values)
 
     def test_determinism(self):
         cloud = sample_cloud(20, 5e-6, seed=12)
         geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
-        a = jittered_pattern(cloud, geo, 0.1e-6, 4, seed=3, n_theta=31)
-        b = jittered_pattern(cloud, geo, 0.1e-6, 4, seed=3, n_theta=31)
+        a = jittered_pattern(cloud, geo, 0.1e-6, n_theta=31)
+        b = jittered_pattern(cloud, geo, 0.1e-6, n_theta=31)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_closed_form_at_every_grid_point(self):
+        cloud = sample_cloud(20, 5e-6, seed=15)
+        geo = EmissionGeometry.tilted(0.3, LAMBDA4)
+        sigma = 0.1e-6
+        base = single_photon_pattern(cloud, geo, n_theta=41)
+        jp = jittered_pattern(cloud, geo, sigma, n_theta=41)
+        dirs = grid_directions(base)
+        q = geo.k4_magnitude * dirs - geo.matching_vector
+        expected = 1 + np.exp(-np.sum(q ** 2, axis=-1) * sigma ** 2) * (
+            base.values - 1)
+        np.testing.assert_allclose(jp.values, expected, rtol=1e-12,
+                                   atol=1e-12)
+        # the evaluator behind metrics gives the grid values
+        np.testing.assert_array_equal(jp.evaluator(dirs), jp.values)
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    def test_monte_carlo_converges_to_closed_form(self, tilt):
+        cloud = sample_cloud(20, 5e-6, seed=16)
+        geo = (EmissionGeometry.tilted(tilt, LAMBDA4) if tilt
+               else EmissionGeometry.collinear_degenerate(LAMBDA4))
+        jp = jittered_pattern(cloud, geo, 0.1e-6, n_theta=31)
+        mean, stderr = monte_carlo_jitter(cloud, geo, 0.1e-6, 400, seed=5,
+                                          n_theta=31)
+        assert np.all(np.abs(jp.values - mean) <= 5 * stderr + 1e-9)
 
     def test_debye_waller_suppression(self):
         cloud = sample_cloud(50, 5e-6, seed=13)
         geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
         base = single_photon_pattern(cloud, geo, n_theta=41)
         sigma = 2e-6
-        jp = jittered_pattern(cloud, geo, sigma, 150, seed=4, n_theta=41)
+        jp = jittered_pattern(cloud, geo, sigma, n_theta=41)
         # the exactly phase-matched direction has q = 0 and stays at N
         # for any jitter
         np.testing.assert_allclose(jp.values[0], 50.0, rtol=1e-12)
@@ -219,4 +279,4 @@ class TestJitteredPattern:
         cloud = sample_cloud(5, 5e-6, seed=14)
         geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
         with pytest.raises(ValueError):
-            jittered_pattern(cloud, geo, -1e-9, 2, seed=0)
+            jittered_pattern(cloud, geo, -1e-9)

@@ -36,6 +36,14 @@ def test_malformed_rejected(bad):
         parse_quantity(bad, "length")
 
 
+@pytest.mark.parametrize("text, kind", [("inf um", "length"),
+                                        ("nan MHz", "frequency"),
+                                        ("1e400 um", "length")])
+def test_non_finite_rejected(text, kind):
+    with pytest.raises(UnitError):
+        parse_quantity(text, kind)
+
+
 def test_wrong_kind_unit_rejected():
     with pytest.raises(UnitError):
         parse_quantity("5 um", "frequency")
