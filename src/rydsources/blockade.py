@@ -211,7 +211,8 @@ def build_hamiltonian(cloud, coupling, pulse, allow_strong_driving=False):
     <r_j|H|g> = hbar Omega_j / 2 with Omega_j = |Omega| e^{i k.r_j},
     <r_j r_k|H|r_j> = hbar Omega_k / 2, and the signed pair shift
     hbar Delta_jk on the double-excitation diagonal. Zero atom-field
-    detuning.
+    detuning. Complex, unless k.r_j = 0 for every atom: then H is
+    real symmetric float64.
     """
     N = cloud.n_atoms
     if N >= 2 and pulse.rabi_magnitude > 0 and not allow_strong_driving:
@@ -225,9 +226,13 @@ def build_hamiltonian(cloud, coupling, pulse, allow_strong_driving=False):
     j, k = np.triu_indices(N, 1)
     dim = 1 + N + len(j)
     rows = np.arange(1 + N, dim)
-    H = np.zeros((dim, dim), dtype=complex)
-    omega_j = (pulse.rabi_magnitude
-               * np.exp(1j * cloud.positions @ pulse.wavevector))
+    phases = cloud.positions @ pulse.wavevector
+    if np.any(phases):
+        omega_j = pulse.rabi_magnitude * np.exp(1j * phases)
+    else:
+        # no phase: a real symmetric H lets eigh take the real solver
+        omega_j = np.full(N, float(pulse.rabi_magnitude))
+    H = np.zeros((dim, dim), dtype=omega_j.dtype)
     H[1:1 + N, 0] = hbar * omega_j / 2
     H[rows, 1 + j] = hbar * omega_j[k] / 2
     H[rows, 1 + k] = hbar * omega_j[j] / 2

@@ -343,15 +343,16 @@ def main(argv=None):
     try:
         return _RUNNERS[args.subcommand](cfg, args.out, workers=args.workers)
     except ResonantLightError as exc:
-        # a zero detuning comes from the config; run_eject evaluates the
-        # field before it writes any output, so the directory is empty
-        if created:
-            os.rmdir(args.out)
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
+        # a zero detuning comes from the config
+        status, message = 2, "config error: %s" % exc
     except _NUMERICAL_ERRORS as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 3
+        status, message = 3, "numerical failure: %s" % exc
+    # outputs already written stay; an --out directory this run made
+    # goes if it is still empty
+    if created and not os.listdir(args.out):
+        os.rmdir(args.out)
+    print(message, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

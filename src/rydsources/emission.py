@@ -225,7 +225,8 @@ def pattern_metrics(pattern):
     The peak is refined from the grid argmax with the pattern's exact
     evaluator; FWHM uses interpolated half-max crossings along two
     orthogonal great-circle cuts. Errors out if the export grid has
-    fewer than 8 points across the measured FWHM.
+    fewer than 8 points across the measured FWHM, or if the lobe is so
+    wide (3 FWHM >= pi) that no background direction is left.
     """
     if pattern.evaluator is None:
         raise ValueError("pattern carries no evaluator for refinement")
@@ -254,6 +255,10 @@ def pattern_metrics(pattern):
             "grid spacing %.4f rad does not resolve the %.4f rad lobe "
             "(need >= 8 points across); refine the grid"
             % (pattern.grid_spacing, fwhm))
+    if 3 * fwhm >= np.pi:
+        raise GridResolutionError(
+            "the %.4f rad lobe is too wide for a background: no direction "
+            "lies more than 3 FWHM from the peak" % fwhm)
     dirs = _dir_from_angles(*np.meshgrid(pattern.theta, pattern.phi_az,
                                          indexing="ij"))
     weights = np.sin(pattern.theta)[:, None] * (dirs @ n < np.cos(3 * fwhm))

@@ -24,6 +24,7 @@ DEFAULT_ANCHOR_SEPARATION = 5e-6                 # m
 DEFAULT_ANCHOR_SHIFT = 2 * np.pi * 100e6         # rad/s (magnitude)
 MIN_PAIR_SEPARATION = 10e-9                      # m, sampling floor
 _MAX_SAMPLING_ATTEMPTS = 10 ** 6
+_BLOCK = 512                                     # points per distance block
 
 
 class SamplingError(RuntimeError):
@@ -116,26 +117,58 @@ def sample_cloud(N, diameter, seed, species=RB87,
 
 def sample_ball(rng, N, radius, min_separation=0.0):
     """N points (N, 3) i.i.d. uniform in a ball about the origin, drawn
-    by rejection from `rng` as sample_cloud describes."""
+    by rejection from `rng` as sample_cloud describes.
+
+    A candidate is kept when it lies in the ball and no kept point is
+    closer than `min_separation`. Candidates come in rounds of N - count,
+    the fewest that one-at-a-time rejection is sure to draw next, so the
+    points and the generator state afterwards are those of drawing and
+    testing one candidate at a time.
+    """
     accepted = np.empty((N, 3))
+    sep2 = min_separation ** 2
     count = attempts = 0
     while count < N:
-        attempts += 1
-        if attempts > _MAX_SAMPLING_ATTEMPTS:
+        n = min(N - count, _MAX_SAMPLING_ATTEMPTS - attempts)
+        if n == 0:
             raise SamplingError(
                 "failed to place %d atoms with %.1e m separation in a "
                 "%.1e m sphere after %d attempts"
                 % (N, min_separation, 2 * radius, _MAX_SAMPLING_ATTEMPTS))
-        p = rng.uniform(-radius, radius, size=3)
-        if p @ p > radius * radius:
-            continue
-        if count and min_separation > 0:
-            d2 = np.sum((accepted[:count] - p) ** 2, axis=1)
-            if np.min(d2) < min_separation ** 2:
-                continue
-        accepted[count] = p
-        count += 1
+        attempts += n
+        c = rng.uniform(-radius, radius, size=(n, 3))
+        # row-wise matmul rounds |p|^2 as p @ p does, bit for bit
+        c = c[np.matmul(c[:, None, :], c[:, :, None])[:, 0, 0]
+              <= radius * radius]
+        if min_separation > 0:
+            c = c[~_near(c, accepted[:count], sep2)]
+            keep = ~_near(c, c, sep2, earlier_only=True)
+            # a candidate close to an earlier one of its round is kept
+            # only if none of those earlier ones was
+            for i in np.flatnonzero(~keep):
+                keep[i] = not _near(c[i:i + 1], c[:i][keep[:i]], sep2)[0]
+            c = c[keep]
+        accepted[count:count + len(c)] = c
+        count += len(c)
     return accepted
+
+
+def _near(points, others, sep2, earlier_only=False):
+    """Per row of `points`: does a row of `others` lie within
+    sum((a - p)**2) < sep2? With `earlier_only`, `others` is `points`
+    and row i sees rows before i only. Distances go block by block, so
+    no array grows with both lengths."""
+    from scipy.spatial.distance import cdist
+    near = np.zeros(len(points), dtype=bool)
+    for i in range(0, len(points), _BLOCK):
+        stop = i + _BLOCK if earlier_only else len(others)
+        for j in range(0, stop, _BLOCK):
+            close = cdist(points[i:i + _BLOCK], others[j:j + _BLOCK],
+                          "sqeuclidean") < sep2
+            if earlier_only and j == i:
+                close = np.tril(close, -1)
+            near[i:i + _BLOCK] |= close.any(axis=1)
+    return near
 
 
 def sample_directions(rng, n):

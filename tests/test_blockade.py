@@ -11,7 +11,8 @@ from rydsources.blockade import (BlockadeSummary, CollectiveState, PulseSpec,
                                  spontaneous_correction, trial_seed,
                                  TRANSITION_A_R_TWO_PHOTON, TRANSITION_R_A,
                                  TRANSITION_R_E, UnsupportedTransitionError)
-from rydsources.ensemble import AtomCloud, RydbergCoupling, sample_cloud
+from rydsources.ensemble import (AtomCloud, RydbergCoupling,
+                                 mean_blockade_shift, sample_cloud)
 
 TWO_PI = 2 * np.pi
 N50 = RydbergCoupling.calibrated(50)
@@ -153,9 +154,22 @@ class TestHamiltonian:
         cloud = sample_cloud(N, 5e-6, seed=N)
         k = k_norm * np.array([1.0, -2.0, 2.0]) / 3
         pulse = PulseSpec(OMEGA, k, 1e-6)
-        np.testing.assert_allclose(build_hamiltonian(cloud, N50, pulse),
-                                   loop_hamiltonian(cloud, N50, pulse),
+        H = build_hamiltonian(cloud, N50, pulse)
+        # real symmetric exactly when the pulse carries no phase
+        assert H.dtype == (np.complex128 if k_norm else np.float64)
+        np.testing.assert_allclose(H, loop_hamiltonian(cloud, N50, pulse),
                                    rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("N", [2, 5, 12])
+    def test_real_evolution_matches_complex(self, N):
+        cloud = sample_cloud(N, 5e-6, seed=N)
+        pulse = PulseSpec(OMEGA, np.zeros(3), 1e-6)
+        H = build_hamiltonian(cloud, N50, pulse)
+        t = pi_pulse_time(N, OMEGA, mean_blockade_shift(cloud, N50))
+        real = evolve(CollectiveState.ground(N), H, t)
+        cplx = evolve(CollectiveState.ground(N), H.astype(complex), t)
+        np.testing.assert_allclose(real.to_vector(), cplx.to_vector(),
+                                   rtol=0, atol=1e-12)
 
     def test_hermiticity_random_cloud(self):
         cloud = sample_cloud(10, 5e-6, seed=9)

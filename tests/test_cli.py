@@ -307,10 +307,23 @@ class TestCliErrors:
     def test_centred_eject_beam_exit_code(self, tmp_path, capsys):
         # no offset, so no gradient at the trap center and no direction
         cfg = write_config(tmp_path, {"eject_offset": "0 um"})
-        assert main(["eject", "--config", cfg, "--out", str(tmp_path)]) == 3
+        out = tmp_path / "out"
+        assert main(["eject", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: net acceleration 0")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_lobe_too_wide_for_background_exit_code(self, tmp_path, capsys):
+        # a 0.9 um cloud at N = 10: the lobe is wider than pi / 3
+        cfg = write_config(tmp_path, {"diameter": "0.9 um",
+                                      "N_values": [10], "trials": 2})
+        out = tmp_path / "out"
+        assert main(["emission", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "lobe" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # eject beam off: |b> is never ejected -> exit 3

@@ -154,6 +154,13 @@ class TestPatternMetrics:
         with pytest.raises(GridResolutionError):
             pattern_metrics(pattern)
 
+    def test_lobe_too_wide_for_background_rejected(self):
+        # 3 FWHM > pi: cos(3 FWHM) wraps, so no direction is background
+        cloud = sample_cloud(10, 0.9e-6, seed=4)
+        geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
+        with pytest.raises(GridResolutionError, match="rad lobe is too wide"):
+            pattern_metrics(single_photon_pattern(cloud, geo))
+
     @pytest.mark.parametrize("N", [20, 50])
     @pytest.mark.parametrize("tilt", [0.0, 0.3])
     def test_grid_background_matches_sampled(self, N, tilt):

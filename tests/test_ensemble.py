@@ -1,13 +1,58 @@
 import numpy as np
 import pytest
 
+from rydsources import ensemble
 from rydsources.ensemble import (AtomCloud, RydbergCoupling, SamplingError,
                                  mean_blockade_shift, pair_shift,
-                                 pair_shift_magnitudes, sample_cloud,
-                                 sample_directions, MIN_PAIR_SEPARATION)
+                                 pair_shift_magnitudes, sample_ball,
+                                 sample_cloud, sample_directions,
+                                 MIN_PAIR_SEPARATION)
 
 TWO_PI = 2 * np.pi
 N50 = RydbergCoupling.calibrated(50)
+
+
+def loop_sample_ball(rng, N, radius, min_separation=0.0):
+    """Reference: the one-candidate-at-a-time rejection loop that
+    sample_ball batches."""
+    accepted = np.empty((N, 3))
+    count = attempts = 0
+    while count < N:
+        attempts += 1
+        if attempts > ensemble._MAX_SAMPLING_ATTEMPTS:
+            raise SamplingError("too many attempts")
+        p = rng.uniform(-radius, radius, size=3)
+        if p @ p > radius * radius:
+            continue
+        if count and min_separation > 0:
+            d2 = np.sum((accepted[:count] - p) ** 2, axis=1)
+            if np.min(d2) < min_separation ** 2:
+                continue
+        accepted[count] = p
+        count += 1
+    return accepted
+
+
+class Replay:
+    """Generator stand-in that hands out fixed candidates in order."""
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+
+    def uniform(self, low, high, size):
+        n = int(np.prod(size)) // 3
+        out, self.points = self.points[:n], self.points[n:]
+        return out.reshape(size)
+
+
+def assert_matches_loop(N, radius, min_separation, seeds):
+    """Same points as the loop, and the same generator state after."""
+    for seed in seeds:
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        got = sample_ball(rngs[0], N, radius, min_separation)
+        want = loop_sample_ball(rngs[1], N, radius, min_separation)
+        assert np.array_equal(got, want)
+        assert rngs[0].normal() == rngs[1].normal()
 
 
 class TestSampling:
@@ -41,6 +86,47 @@ class TestSampling:
     def test_overcrowded_sphere_errors(self):
         with pytest.raises(SamplingError):
             sample_cloud(50, 40e-9, seed=0)
+
+    @pytest.mark.parametrize("min_separation", [0.0, 10e-9, 0.3e-6])
+    @pytest.mark.parametrize("N", [1, 2, 5, 50, 500])
+    def test_batched_matches_loop(self, N, min_separation):
+        assert_matches_loop(N, 2.5e-6, min_separation, seeds=range(4))
+
+    def test_batched_matches_loop_with_rejections_in_a_round(self):
+        # 0.3 um at N = 200 in a 5 um ball: the first round's candidates
+        # clash with each other, so the in-round resolution runs
+        from scipy.spatial.distance import pdist
+        for seed in range(3):
+            first = np.random.default_rng(seed).uniform(-2.5e-6, 2.5e-6,
+                                                        size=(200, 3))
+            first = first[np.linalg.norm(first, axis=1) <= 2.5e-6]
+            assert np.min(pdist(first)) < 0.3e-6
+        assert_matches_loop(200, 2.5e-6, 0.3e-6, seeds=range(3))
+
+    def test_ball_test_rounds_as_the_loop(self):
+        # with OpenBLAS, p @ p rounds this |p|^2 to at most radius^2, a
+        # plain sum of squares to just above it
+        p = [0.9616706775524602, 0.3710839689613894, 0.3009185525356326]
+        radius = 1.0738090050583882
+        candidates = [p, [0.0, 0.0, 0.0]]
+        assert np.array_equal(sample_ball(Replay(candidates), 1, radius),
+                              loop_sample_ball(Replay(candidates), 1, radius))
+
+    def test_blocked_distances_match_loop(self, monkeypatch):
+        # blocks smaller than a round exercise every block boundary
+        monkeypatch.setattr(ensemble, "_BLOCK", 7)
+        assert_matches_loop(60, 1e-6, 0.3e-6, seeds=range(3))
+
+    def test_attempt_cap_matches_loop(self, monkeypatch):
+        # both give up after exactly the same number of candidates
+        monkeypatch.setattr(ensemble, "_MAX_SAMPLING_ATTEMPTS", 500)
+        rngs = [np.random.default_rng(3) for _ in range(2)]
+        with pytest.raises(SamplingError):
+            sample_ball(rngs[0], 50, 20e-9, 10e-9)
+        with pytest.raises(SamplingError):
+            loop_sample_ball(rngs[1], 50, 20e-9, 10e-9)
+        assert (rngs[0].bit_generator.state
+                == rngs[1].bit_generator.state)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
