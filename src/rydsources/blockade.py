@@ -8,7 +8,6 @@ closed form and for the double-excitation leakage estimate
 P_double ~ ((N-1)/2l) |Omega|^2 / Dbar^2.
 """
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,23 +125,9 @@ class CollectiveState:
         return np.concatenate(([self.c_ground], self.c_single, self.c_double))
 
     @classmethod
-    def from_vector(cls, vec, **kwargs):
-        n = _n_from_dim(len(vec))
-        return cls(c_ground=complex(vec[0]), c_single=vec[1:1 + n],
-                   c_double=vec[1 + n:], **kwargs)
-
-    @classmethod
     def ground(cls, N):
         return cls(c_ground=1.0 + 0j, c_single=np.zeros(N, complex),
                    c_double=np.zeros(N * (N - 1) // 2, complex))
-
-
-def _n_from_dim(dim):
-    # dim = 1 + N + N(N-1)/2
-    n = int(round((-1 + np.sqrt(8 * dim - 7)) / 2))
-    if 1 + n + n * (n - 1) // 2 != dim:
-        raise ValueError("vector length %d is not a valid basis size" % dim)
-    return n
 
 
 @dataclass(frozen=True)
@@ -275,7 +260,9 @@ def evolve(state, hamiltonian, duration, tolerance=1e-11, method="exact"):
                 % drift)
     else:
         raise ValueError("unknown method %r" % (method,))
-    return CollectiveState.from_vector(psi, single_label=state.single_label)
+    N = state.n_atoms
+    return replace(state, c_ground=complex(psi[0]), c_single=psi[1:1 + N],
+                   c_double=psi[1 + N:])
 
 
 def _apply_transfer_pulse(state, cloud, pulse):
@@ -285,8 +272,7 @@ def _apply_transfer_pulse(state, cloud, pulse):
                    single_label="a")
 
 
-def run_preparation_sequence(cloud, coupling, pulses, method="exact",
-                             tolerance=1e-11):
+def run_preparation_sequence(cloud, coupling, pulses):
     """Apply pulses in order and summarize the final state.
 
     Pulses must be strictly sequential; if start times are given, any
@@ -308,8 +294,7 @@ def run_preparation_sequence(cloud, coupling, pulses, method="exact",
             state = _apply_transfer_pulse(state, cloud, pulse)
             continue
         H = build_hamiltonian(cloud, coupling, pulse)
-        state = evolve(state, H, pulse.duration, tolerance=tolerance,
-                       method=method)
+        state = evolve(state, H, pulse.duration)
         rabi = pulse.rabi_magnitude
     N = cloud.n_atoms
     if N >= 2:
@@ -363,9 +348,8 @@ def m_excitation_schedule(N, m, rabi, eject_time):
     }
 
 
-def _fig1_trial(args):
-    (N, trial_seed, diameter, coupling, rabi, species, cap) = args
-    cloud = sample_cloud(N, diameter, trial_seed, species=species)
+def _fig1_trial(N, seed, diameter, coupling, rabi, species, cap):
+    cloud = sample_cloud(N, diameter, seed, species=species)
     if N >= 2:
         dbar = mean_blockade_shift(cloud, coupling)
         l = l_factor(N, rabi, dbar)
@@ -394,7 +378,7 @@ def trial_seed(master_seed, N, trial):
 
 
 def fig1_scan(N_values, trials, diameter, coupling, rabi, master_seed,
-              species=RB87, full_integrator_cap=0, workers=1):
+              species=RB87, full_integrator_cap=0):
     """Monte Carlo scan of P_zero and P_double versus atom number.
 
     Returns one dict per N with seed-averaged closed-form values and,
@@ -404,25 +388,17 @@ def fig1_scan(N_values, trials, diameter, coupling, rabi, master_seed,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows = []
-    pool = nullcontext()
-    if workers and workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        spawn = multiprocessing.get_context("spawn")
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=spawn)
-    with pool as executor:
-        run = executor.map if executor else map
-        for N in N_values:
-            jobs = [(int(N), trial_seed(master_seed, N, t), diameter,
-                     coupling, rabi, species, full_integrator_cap)
-                    for t in range(trials)]
-            results = list(run(_fig1_trial, jobs))
-            row = {"N": int(N), "trials": int(trials)}
-            for key in results[0]:
-                vals = np.array([r[key] for r in results])
-                row[key + "_mean"] = float(np.mean(vals))
-                row[key + "_stderr"] = (float(np.std(vals, ddof=1)
-                                              / np.sqrt(trials))
-                                        if trials > 1 else 0.0)
-            rows.append(row)
+    for N in N_values:
+        N = int(N)
+        results = [_fig1_trial(N, trial_seed(master_seed, N, t), diameter,
+                               coupling, rabi, species, full_integrator_cap)
+                   for t in range(trials)]
+        row = {"N": N, "trials": int(trials)}
+        for key in results[0]:
+            vals = np.array([r[key] for r in results])
+            row[key + "_mean"] = float(np.mean(vals))
+            row[key + "_stderr"] = (float(np.std(vals, ddof=1)
+                                          / np.sqrt(trials))
+                                    if trials > 1 else 0.0)
+        rows.append(row)
     return rows

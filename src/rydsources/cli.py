@@ -67,15 +67,14 @@ def _write_pattern_csv(path, provenance, pattern):
                zip(theta.ravel(), phi.ravel(), pattern.values.ravel()))
 
 
-def run_fig1(cfg, out_dir, workers=1):
+def run_fig1(cfg, out_dir):
     species = species_from_config(cfg)
     coupling = RydbergCoupling.calibrated(cfg["principal_n"],
                                           cfg["anchor_separation"],
                                           cfg["anchor_shift"])
     rows = fig1_scan(cfg["N_values"], cfg["trials"], cfg["diameter"],
                      coupling, cfg["rabi"], cfg["seed"], species=species,
-                     full_integrator_cap=cfg["full_integrator_cap"],
-                     workers=workers)
+                     full_integrator_cap=cfg["full_integrator_cap"])
     prov = _provenance("fig1", cfg)
     header = ["N", "P_zero_mean", "P_zero_stderr", "P_double_mean",
               "P_double_stderr", "Delta_bar_mean"]
@@ -145,7 +144,7 @@ def _eject_field(cfg, species):
     return field, fort, eject, eject_det
 
 
-def run_eject(cfg, out_dir, workers=1):
+def run_eject(cfg, out_dir):
     species = species_from_config(cfg)
     field, fort, eject, eject_det = _eject_field(cfg, species)
     center = np.zeros(3)
@@ -233,13 +232,10 @@ def run_eject(cfg, out_dir, workers=1):
     return 0
 
 
-def run_emission(cfg, out_dir, workers=1):
+def run_emission(cfg, out_dir):
     species = species_from_config(cfg)
     lam4 = cfg["lambda4"]
-    if cfg["tilt_angle"] == 0:
-        geometry = EmissionGeometry.collinear_degenerate(lam4)
-    else:
-        geometry = EmissionGeometry.tilted(cfg["tilt_angle"], lam4)
+    geometry = EmissionGeometry.tilted(cfg["tilt_angle"], lam4)
     prov = _provenance("emission", cfg)
     blocks = []
     for N in cfg["N_values"]:
@@ -285,7 +281,7 @@ def run_emission(cfg, out_dir, workers=1):
     return 0
 
 
-def run_schedule(cfg, out_dir, workers=1):
+def run_schedule(cfg, out_dir):
     report = m_excitation_schedule(cfg["N"], cfg["m"], cfg["rabi"],
                                    cfg["eject_time"])
     report["provenance"] = _provenance("schedule", cfg)
@@ -309,7 +305,8 @@ def build_parser():
                        help="JSON config (bundled defaults when omitted)")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        # read by nothing; kept because perfbench passes --workers 1
+        p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
         p.add_argument("--strict", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="reject unknown config keys (default)")
@@ -341,7 +338,7 @@ def main(argv=None):
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     try:
-        return _RUNNERS[args.subcommand](cfg, args.out, workers=args.workers)
+        return _RUNNERS[args.subcommand](cfg, args.out)
     except ResonantLightError as exc:
         # a zero detuning comes from the config
         status, message = 2, "config error: %s" % exc

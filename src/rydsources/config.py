@@ -89,7 +89,8 @@ SCHEMAS = {
 _AT_LEAST = {"seed": 0, "N_values": 1, "trials": 1, "N": 1, "m": 1,
              "principal_n": 1, "trajectories": 1, "trajectories_a": 1,
              "grid_points": 2, "fort_power": 0, "eject_power": 0,
-             "temperature": 0, "jitter_sigma": 0, "eject_time": 0}
+             "temperature": 0, "jitter_sigma": 0, "eject_time": 0,
+             "profile_samples": 2, "full_integrator_cap": 0}
 _POSITIVE = {"diameter", "cloud_diameter", "rabi", "anchor_separation",
              "anchor_shift", "duration", "tolerance", "fort_waist",
              "eject_waist", "fort_wavelength", "eject_wavelength", "lambda4",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rydsources.cli import main
-from rydsources.config import (SCHEMAS, ConfigError, load_config,
+from rydsources.config import (_AT_LEAST, SCHEMAS, ConfigError, load_config,
                                load_config_file, species_from_config)
 
 TWO_PI = 2 * np.pi
@@ -125,6 +125,12 @@ class TestConfig:
         for subcommand in SCHEMAS:
             json.dumps(load_config(subcommand, {}))
 
+    def test_every_count_key_has_a_floor(self):
+        counts = {key for schema in SCHEMAS.values()
+                  for key, (kind, _) in schema.items()
+                  if kind in ("int", "int_list")}
+        assert counts - set(_AT_LEAST) == set()
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.data())
     def test_fuzzed_config_rejected_or_finite(self, data):
@@ -212,14 +218,18 @@ class TestCliRuns:
 
     def test_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
+        fig1_cfg = write_config(tmp_path, SMALL_FIG1, name="fig1.json")
+        # --workers is accepted and changes nothing
+        for out, workers in ((a, "1"), (b, "2")):
             out.mkdir()
             assert main(["schedule", "--out", str(out)]) == 0
             cfg = write_config(tmp_path, SMALL_EMISSION)
             assert main(["emission", "--config", cfg,
                          "--out", str(out)]) == 0
+            assert main(["fig1", "--config", fig1_cfg, "--out", str(out),
+                         "--workers", workers]) == 0
         for name in ("schedule.json", "emission_metrics.json",
-                     "pattern_N25.csv"):
+                     "pattern_N25.csv", "fig1.csv", "fig1_summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_seed_override_changes_outputs(self, tmp_path):
@@ -273,6 +283,9 @@ class TestCliErrors:
         ("eject", {"temperature": "inf K"}),
         ("fig1", {"anchor_shift": "1e400 MHz"}),
         ("emission", {"tilt_angle": "nan deg"}),
+        ("eject", {"profile_samples": -1}),
+        ("eject", {"profile_samples": 1}),
+        ("fig1", {"full_integrator_cap": -1}),
     ])
     def test_out_of_range_exit_code(self, tmp_path, capsys, subcommand,
                                     payload):
