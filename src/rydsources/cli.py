@@ -52,19 +52,22 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, provenance, header, rows):
+    """One "%.12g" field per number; each row is formatted in one go."""
+    line = ",".join(["%.12g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write("# provenance: %s\n"
                  % json.dumps(provenance, sort_keys=True))
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("%.12g" % v for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _write_pattern_csv(path, provenance, pattern):
     """One (theta, phi_az, P) row per grid point, theta-major."""
     theta, phi = np.meshgrid(pattern.theta, pattern.phi_az, indexing="ij")
-    _write_csv(path, provenance, ["theta", "phi_az", "P"],
-               zip(theta.ravel(), phi.ravel(), pattern.values.ravel()))
+    # python floats format faster than numpy scalars
+    rows = np.column_stack((theta.ravel(), phi.ravel(),
+                            pattern.values.ravel())).tolist()
+    _write_csv(path, provenance, ["theta", "phi_az", "P"], rows)
 
 
 def run_fig1(cfg, out_dir):
@@ -237,25 +240,29 @@ def run_emission(cfg, out_dir):
     lam4 = cfg["lambda4"]
     geometry = EmissionGeometry.tilted(cfg["tilt_angle"], lam4)
     prov = _provenance("emission", cfg)
-    blocks = []
+    grid_points = cfg["grid_points"]
+    spacing = np.pi / (grid_points - 1)
+    blocks, patterns = [], []
     for N in cfg["N_values"]:
         fwhms, peaks, bgs, doubles = [], [], [], []
         for t in range(cfg["trials"]):
             cloud = sample_cloud(N, cfg["diameter"],
                                  trial_seed(cfg["seed"], N, t),
                                  species=species)
-            pattern = single_photon_pattern(cloud, geometry,
-                                            cfg["grid_points"])
+            # only trial 0's grid is exported; the others need a grid
+            # only to seed the peak, and one at twice the spacing does
+            pattern = single_photon_pattern(
+                cloud, geometry, grid_points if t == 0
+                else (grid_points + 1) // 2)
             if t == 0:
                 first_cloud, first_pattern = cloud, pattern
-            metrics = pattern_metrics(pattern)
+            metrics = pattern_metrics(pattern, spacing)
             fwhms.append(metrics.fwhm)
             peaks.append(metrics.peak_value)
             bgs.append(metrics.mean_background)
             doubles.append(float(double_excitation_at(
                 cloud, geometry, metrics.peak_direction[None, :])[0]))
-        _write_pattern_csv(os.path.join(out_dir, "pattern_N%d.csv" % N),
-                           prov, first_pattern)
+        patterns.append(("pattern_N%d.csv" % N, first_pattern))
         lam_over_d = lam4 / cfg["diameter"]
         blocks.append({
             "N": int(N),
@@ -271,11 +278,14 @@ def run_emission(cfg, out_dir):
             "double_channel_at_peak_mean": float(np.mean(doubles)),
         })
         if cfg["jitter_sigma"] > 0:
-            jp = jittered_pattern(first_cloud, geometry, cfg["jitter_sigma"],
-                                  cfg["grid_points"])
-            _write_pattern_csv(
-                os.path.join(out_dir, "pattern_N%d_jittered.csv" % N),
-                prov, jp)
+            patterns.append(("pattern_N%d_jittered.csv" % N,
+                             jittered_pattern(first_cloud, geometry,
+                                              cfg["jitter_sigma"],
+                                              grid_points)))
+    # nothing is written until every trial has passed the gates, so a
+    # numerical failure leaves no partial outputs
+    for name, pattern in patterns:
+        _write_pattern_csv(os.path.join(out_dir, name), prov, pattern)
     _write_json(os.path.join(out_dir, "emission_metrics.json"),
                 {"provenance": prov, "patterns": blocks})
     return 0

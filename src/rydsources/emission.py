@@ -79,7 +79,10 @@ class AngularPattern:
 
     `evaluator` maps an array of unit directions (..., 3) to pattern
     values; it is kept alongside the grid so metrics can refine cuts
-    beyond the export resolution.
+    beyond the export resolution. A phase-sum pattern
+    (1/N) |sum_j exp(i (k4 n_hat - q_offset) . r_j)|^2 also carries its
+    `positions`, `q_offset` and `k4`, from which `pattern_metrics`
+    integrates the background exactly; the jittered mean carries none.
     """
 
     theta: np.ndarray                   # (nt,)
@@ -87,6 +90,9 @@ class AngularPattern:
     values: np.ndarray                  # (nt, np)
     n_atoms: int
     evaluator: object = None
+    positions: np.ndarray = None        # (N, 3) m
+    q_offset: np.ndarray = None         # (3,) rad/m
+    k4: float = None                    # rad/m
 
     def argmax_direction(self):
         i, j = np.unravel_index(np.argmax(self.values), self.values.shape)
@@ -102,7 +108,7 @@ class PatternMetrics:
     peak_direction: np.ndarray
     peak_value: float
     fwhm_cuts: tuple                    # rad, two orthogonal great circles
-    mean_background: float              # solid-angle grid mean > 3 FWHM out
+    mean_background: float              # exact solid-angle mean > 3 FWHM out
     peak_to_background: float
 
     @property
@@ -116,30 +122,40 @@ def _dir_from_angles(theta, phi):
                     axis=-1)
 
 
+_DIRECTION_BLOCK = 2048     # bounds the (block, N) phase temporaries
+
+
 def _pattern_values(positions, q_offset, k4, directions):
-    """(1/N) |sum_j exp(i q . r_j)|^2 with q = k4 * n_hat - q_offset."""
+    """(1/N) |sum_j exp(i q . r_j)|^2 with q = k4 * n_hat - q_offset,
+    as (sum cos)^2 + (sum sin)^2 over blocks of directions."""
     dirs = np.asarray(directions, dtype=float)
     flat = dirs.reshape(-1, 3)
-    q = k4 * flat - q_offset[None, :]
-    phases = q @ positions.T
-    vals = np.abs(np.exp(1j * phases).sum(axis=1)) ** 2 / positions.shape[0]
-    return vals.reshape(dirs.shape[:-1])
+    vals = np.empty(len(flat))
+    for s in range(0, len(flat), _DIRECTION_BLOCK):
+        phases = (k4 * flat[s:s + _DIRECTION_BLOCK] - q_offset) @ positions.T
+        vals[s:s + _DIRECTION_BLOCK] = (np.cos(phases).sum(axis=1) ** 2
+                                        + np.sin(phases).sum(axis=1) ** 2)
+    return vals.reshape(dirs.shape[:-1]) / positions.shape[0]
 
 
-def _make_pattern(evaluator, n_theta, n_atoms):
+def _make_pattern(evaluator, n_theta, n_atoms, **phase_sum):
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2 * np.pi, 2 * n_theta, endpoint=False)
     dirs = _dir_from_angles(*np.meshgrid(theta, phi, indexing="ij"))
     return AngularPattern(theta=theta, phi_az=phi, values=evaluator(dirs),
-                          n_atoms=n_atoms, evaluator=evaluator)
+                          n_atoms=n_atoms, evaluator=evaluator, **phase_sum)
+
+
+def _phase_sum_pattern(positions, q_offset, k4, n_theta):
+    return _make_pattern(partial(_pattern_values, positions, q_offset, k4),
+                         n_theta, len(positions), positions=positions,
+                         q_offset=q_offset, k4=k4)
 
 
 def single_photon_pattern(cloud, geometry, n_theta=181):
     """Far-field single-photon pattern on an (n_theta x 2 n_theta) grid."""
-    return _make_pattern(partial(_pattern_values, cloud.positions,
-                                 geometry.matching_vector,
-                                 geometry.k4_magnitude),
-                         n_theta, cloud.n_atoms)
+    return _phase_sum_pattern(cloud.positions, geometry.matching_vector,
+                              geometry.k4_magnitude, n_theta)
 
 
 def _double_offset(geometry):
@@ -157,10 +173,8 @@ def double_excitation_pattern(cloud, geometry, n_theta=181):
     Evaluates the mismatch phase k4 - 2(k1 + k2) + k3 on the grid; warns
     if the geometry pathologically phase-matches this channel.
     """
-    return _make_pattern(partial(_pattern_values, cloud.positions,
-                                 _double_offset(geometry),
-                                 geometry.k4_magnitude),
-                         n_theta, cloud.n_atoms)
+    return _phase_sum_pattern(cloud.positions, _double_offset(geometry),
+                              geometry.k4_magnitude, n_theta)
 
 
 def double_excitation_at(cloud, geometry, directions):
@@ -193,48 +207,133 @@ def _orthonormal_frame(direction):
     return n, e1, e2
 
 
-def _cut_fwhm(evaluator, peak_dir, tangent, half_level, max_angle=1.5,
-              n_points=3001):
-    """Innermost half-max crossings along one great-circle cut."""
-    n, e1 = peak_dir, tangent
-    alpha = np.linspace(-max_angle, max_angle, n_points)
-    dirs = (np.cos(alpha)[:, None] * n[None, :]
-            + np.sin(alpha)[:, None] * e1[None, :])
-    vals = evaluator(dirs)
-    i0 = n_points // 2
-    left = right = None
-    for i in range(i0, -1, -1):
-        if vals[i] < half_level:
-            frac = (half_level - vals[i]) / (vals[i + 1] - vals[i])
-            left = alpha[i] + frac * (alpha[i + 1] - alpha[i])
-            break
-    for i in range(i0, n_points):
-        if vals[i] < half_level:
-            frac = (half_level - vals[i - 1]) / (vals[i] - vals[i - 1])
-            right = alpha[i - 1] + frac * (alpha[i] - alpha[i - 1])
-            break
-    if left is None or right is None:
+def _fwhm_cuts(evaluator, n, e1, e2, half_level, step, max_angle=1.5):
+    """Lobe widths at `half_level` along the great circles from the peak
+    `n` toward e1 and e2. The innermost crossing on each side is
+    bracketed by a walk out from the peak in steps of `step`, then
+    bisected on the evaluator."""
+    rays = np.array([e1, -e1, e2, -e2])
+
+    def along(alpha):                   # (4, k) angles -> (4, k, 3)
+        return (np.cos(alpha)[..., None] * n
+                + np.sin(alpha)[..., None] * rays[:, None, :])
+
+    walk = step * np.arange(1, int(max_angle / step) + 1)
+    below = evaluator(along(np.tile(walk, (4, 1)))) < half_level
+    if not below.any(axis=1).all():
         raise GridResolutionError("no half-max crossing within %.2f rad of "
                                   "the peak" % max_angle)
-    return right - left
+    first = below.argmax(axis=1)
+    lo, hi = step * first, step * (first + 1)
+    for _ in range(40):                 # brackets step / 2^40 wide
+        mid = (lo + hi) / 2
+        low = evaluator(along(mid[:, None]))[:, 0] < half_level
+        lo, hi = np.where(low, lo, mid), np.where(low, mid, hi)
+    cross = (lo + hi) / 2
+    return float(cross[0] + cross[1]), float(cross[2] + cross[3])
 
 
-def pattern_metrics(pattern):
+def _spherical_jn(l_max, x):
+    """j_0 .. j_l_max at each x >= 0 of a 1-D array, shape
+    (l_max + 1, len(x)).
+
+    Miller's downward recurrence, started for each x at
+    x + 12 x^(1/3) + 30, where j_l(x) is negligible (Debye's
+    asymptotics), and normalised by sum_l (2l + 1) j_l^2 = 1, which
+    holds at every x (j_0 alone vanishes at x = n pi). The sign comes
+    from j_0 and j_1, which never vanish together.
+    """
+    # j_l(1e-100) is j_l(0) to double precision, and the recurrence
+    # needs x > 0
+    x = np.maximum(np.asarray(x, dtype=float), 1e-100)
+    start = (x + 12 * np.cbrt(x)).astype(int) + 30
+    j = np.zeros((max(l_max, start.max(initial=0)) + 2, len(x)))
+    j[start, np.arange(len(x))] = 1.0
+    for l in range(len(j) - 2, 0, -1):
+        # adds onto the 1 placed at each start, and onto zeros elsewhere
+        j[l - 1] += (2 * l + 1) / x * j[l] - j[l + 1]
+        big = np.abs(j[l - 1]) > 1e100
+        if big.any():                   # rescale before it overflows
+            j[l - 1:, big] /= np.abs(j[l - 1, big])
+    ell = np.arange(len(j))[:, None]
+    norm = np.sqrt(np.sum((2 * ell + 1) * j ** 2, axis=0))
+    j0, j1 = np.sin(x) / x, np.sin(x) / x ** 2 - np.cos(x) / x
+    sign = np.sign(j[0] * j0 + j[1] * j1)
+    return j[:l_max + 1] * (sign / norm)
+
+
+def _legendre(l_max, x):
+    """P_0 .. P_l_max at x by the upward recurrence, shape
+    (l_max + 1,) + x.shape."""
+    x = np.asarray(x, dtype=float)
+    p = np.ones((l_max + 1,) + x.shape)
+    if l_max:
+        p[1] = x
+    for l in range(1, l_max):
+        p[l + 1] = ((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1)
+    return p
+
+
+_PAIR_BLOCK = 4096      # bounds the (l, pairs) arrays of the background
+
+
+def _cap_background(positions, q_offset, k4, peak_dir, cap):
+    """Exact solid-angle mean of (1/N) |sum_j exp(i q . r_j)|^2,
+    q = k4 n_hat - q_offset, over directions more than `cap` rad from
+    `peak_dir`.
+
+    P = 1 + (2/N) sum_{j<k} Re exp(i q . d), d = r_j - r_k. Expand
+    exp(i k4 n_hat . d) in Legendre terms (Rayleigh),
+    sum_l (2l + 1) i^l j_l(k4 d) P_l(n_hat . d_hat); over the cap about m
+    each term integrates (Funk-Hecke) to
+    2 pi i^l j_l P_l(m . d_hat) (P_{l-1}(c) - P_{l+1}(c)), c = cos(cap),
+    P_{-1} = 1, and over the sphere the sum is 4 pi j_0(k4 d). The
+    remainder over the area 2 pi (1 + c) gives the mean.
+    """
+    c = np.cos(cap)
+    i, k = np.triu_indices(len(positions), 1)
+    cross = 0.0
+    for s in range(0, len(i), _PAIR_BLOCK):
+        d = positions[i[s:s + _PAIR_BLOCK]] - positions[k[s:s + _PAIR_BLOCK]]
+        dist = np.sqrt(np.sum(d * d, axis=1))
+        x = k4 * dist
+        # Debye's asymptotics put j_l(x) below 1e-16 past x + 12 x^(1/3)
+        l_max = int(np.max(x) + 12 * np.cbrt(np.max(x))) + 10
+        pc = _legendre(l_max + 1, c)
+        coef = (np.array([1, 1j, -1, -1j])[np.arange(l_max + 1) % 4]
+                * (np.r_[1.0, pc[:-2]] - pc[1:]))
+        jl = _spherical_jn(l_max, x)
+        cap_sum = coef @ (jl * _legendre(l_max, (d @ peak_dir)
+                                         / np.maximum(dist, 1e-300)))
+        cross += np.sum((np.exp(-1j * (d @ q_offset))
+                         * (4 * np.pi * jl[0] - 2 * np.pi * cap_sum)).real)
+    return 1.0 + 2.0 / len(positions) * cross / (2 * np.pi * (1 + c))
+
+
+def pattern_metrics(pattern, grid_spacing=None):
     """Peak direction/value, FWHM on two principal cuts, background.
 
+    `grid_spacing` is the export grid's spacing (the pattern's own by
+    default); the pattern's grid may be coarser and only seeds the peak.
     The peak is refined from the grid argmax with the pattern's exact
-    evaluator; FWHM uses interpolated half-max crossings along two
-    orthogonal great-circle cuts. Errors out if the export grid has
+    evaluator on shrinking tangent grids; a coarser seed takes one wider
+    step first, so every refinement ends at the same step. Each FWHM cut
+    bisects its half-max crossings on the evaluator (`_fwhm_cuts`). The
+    background is the exact solid-angle mean more than 3 FWHM from the
+    peak (`_cap_background`), so patterns without that closed form (the
+    jittered mean) are rejected. Errors out if `grid_spacing` gives
     fewer than 8 points across the measured FWHM, or if the lobe is so
     wide (3 FWHM >= pi) that no background direction is left.
     """
-    if pattern.evaluator is None:
-        raise ValueError("pattern carries no evaluator for refinement")
-    peak_dir = pattern.argmax_direction()
-    # local refinement of the peak direction on a shrinking tangent grid
-    n, e1, e2 = _orthonormal_frame(peak_dir)
-    span = 2 * pattern.grid_spacing
-    for _ in range(8):
+    if pattern.positions is None:
+        raise ValueError("pattern carries no phase-sum closed form")
+    if grid_spacing is None:
+        grid_spacing = pattern.grid_spacing
+    n, e1, e2 = _orthonormal_frame(pattern.argmax_direction())
+    spans = [2 * grid_spacing / 3.0 ** i for i in range(8)]
+    if pattern.grid_spacing > grid_spacing:
+        spans.insert(0, 2 * pattern.grid_spacing)
+    for span in spans:
         a = np.linspace(-span, span, 9)
         aa, bb = np.meshgrid(a, a, indexing="ij")
         dirs = (n[None, None, :] + aa[..., None] * e1[None, None, :]
@@ -242,30 +341,26 @@ def pattern_metrics(pattern):
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         vals = pattern.evaluator(dirs)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        n = dirs[i, j]
-        n, e1, e2 = _orthonormal_frame(n)
-        span /= 3.0
+        n, e1, e2 = _orthonormal_frame(dirs[i, j])
     peak_value = float(pattern.evaluator(n[None, :])[0])
-    half = peak_value / 2
-    fwhm_cuts = (_cut_fwhm(pattern.evaluator, n, e1, half),
-                 _cut_fwhm(pattern.evaluator, n, e2, half))
+    # at half the export spacing, any lobe that passes the gate below is
+    # >= 16 walk steps wide
+    fwhm_cuts = _fwhm_cuts(pattern.evaluator, n, e1, e2, peak_value / 2,
+                           grid_spacing / 2)
     fwhm = float(np.mean(fwhm_cuts))
-    if pattern.grid_spacing > fwhm / 8:
+    if grid_spacing > fwhm / 8:
         raise GridResolutionError(
             "grid spacing %.4f rad does not resolve the %.4f rad lobe "
             "(need >= 8 points across); refine the grid"
-            % (pattern.grid_spacing, fwhm))
+            % (grid_spacing, fwhm))
     if 3 * fwhm >= np.pi:
         raise GridResolutionError(
             "the %.4f rad lobe is too wide for a background: no direction "
             "lies more than 3 FWHM from the peak" % fwhm)
-    dirs = _dir_from_angles(*np.meshgrid(pattern.theta, pattern.phi_az,
-                                         indexing="ij"))
-    weights = np.sin(pattern.theta)[:, None] * (dirs @ n < np.cos(3 * fwhm))
-    bg = float(np.sum(weights * pattern.values) / np.sum(weights))
+    bg = float(_cap_background(pattern.positions, pattern.q_offset,
+                               pattern.k4, n, 3 * fwhm))
     return PatternMetrics(peak_direction=n, peak_value=peak_value,
-                          fwhm_cuts=tuple(float(f) for f in fwhm_cuts),
-                          mean_background=bg,
+                          fwhm_cuts=fwhm_cuts, mean_background=bg,
                           peak_to_background=peak_value / bg)
 
 

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rydsources.cli import main
+from rydsources.cli import _write_csv, main
 from rydsources.config import (_AT_LEAST, SCHEMAS, ConfigError, load_config,
                                load_config_file, species_from_config)
 
@@ -343,3 +348,61 @@ class TestCliErrors:
         cfg = write_config(tmp_path, {**SMALL_EJECT, "eject_power": "0 uW"})
         assert main(["eject", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def per_value_csv_rows(rows):
+    """The per-value formatting _write_csv replaced: its reference."""
+    return "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows)
+
+
+class TestCsvWriter:
+    def test_matches_per_value_format(self, tmp_path):
+        special = [-0.0, 1e-300, 1e300, float("nan"), 7]
+        array = np.array([special, [1 / 3, -2.5e-7, float("inf"),
+                                    -float("inf"), 0.0]])
+        rows = [special, [np.float64(v) for v in special[:4]] + [np.int64(7)],
+                [1, -2, 3, 2 ** 40, -0.0]] + array.tolist() + list(zip(*[
+                    array[:, i] for i in range(5)]))
+        path = tmp_path / "rows.csv"
+        _write_csv(str(path), {"seed": 7}, list("abcde"), rows)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[:2] == ['# provenance: {"seed": 7}\n', "a,b,c,d,e\n"]
+        assert "".join(lines[2:]) == per_value_csv_rows(rows)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(N_values=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+       trials=st.integers(1, 3), grid_points=st.integers(2, 61),
+       diameter=st.floats(0.2, 4.0), tilt=st.floats(-360.0, 360.0),
+       jitter=st.sampled_from([0.0, 0.05]))
+# one run that passes, and one whose second N fails after the first
+# passed, so the success path and the no-partial-output rule both run
+@example(N_values=[8], trials=2, grid_points=61, diameter=1.0, tilt=0.0,
+         jitter=0.05)
+@example(N_values=[8, 1], trials=2, grid_points=61, diameter=1.0,
+         tilt=0.0, jitter=0.0)
+def test_emission_cli_fuzz(N_values, trials, grid_points, diameter, tilt,
+                           jitter):
+    """Tiny emission runs past the config phase keep the exit-code
+    contract: 0, 2 or 3, at most one stderr line, and no --out
+    directory left behind on a failure."""
+    cfg = {"N_values": N_values, "trials": trials,
+           "grid_points": grid_points, "diameter": "%r um" % diameter,
+           "tilt_angle": "%r deg" % tilt, "jitter_sigma": "%r um" % jitter}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["emission", "--config", path, "--out", out])
+        assert rc in (0, 2, 3)
+        # a warning would print its own stderr lines in a real run
+        assert len(err.getvalue().splitlines()) + len(caught) <= 1
+        if rc == 0:
+            assert os.path.exists(os.path.join(out, "emission_metrics.json"))
+        else:
+            assert not os.path.exists(out)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rydsources.emission import (AngularPattern, EmissionGeometry,
-                                 GridResolutionError,
+                                 GridResolutionError, _orthonormal_frame,
+                                 _spherical_jn,
                                  double_excitation_pattern,
                                  expected_peak_direction, jittered_pattern,
                                  motional_blur, pattern_metrics,
@@ -20,6 +21,35 @@ def grid_directions(pattern):
     tt, pp = np.meshgrid(pattern.theta, pattern.phi_az, indexing="ij")
     return np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
                      np.cos(tt)], axis=-1)
+
+
+def geometry_for(tilt):
+    return (EmissionGeometry.tilted(tilt, LAMBDA4) if tilt
+            else EmissionGeometry.collinear_degenerate(LAMBDA4))
+
+
+def complex_pattern_values(positions, q_offset, k4, directions):
+    """The direct complex phase sum, the reference for _pattern_values."""
+    q = k4 * np.asarray(directions, dtype=float) - q_offset
+    phases = q @ positions.T
+    return np.abs(np.exp(1j * phases).sum(axis=-1)) ** 2 / len(positions)
+
+
+def dense_cut_fwhm(evaluator, peak_dir, tangent, half_level, max_angle=1.5,
+                   n_points=3001):
+    """Innermost half-max crossings, linearly interpolated on a dense
+    great-circle cut: the reference for the bisected crossings."""
+    alpha = np.linspace(-max_angle, max_angle, n_points)
+    vals = evaluator(np.cos(alpha)[:, None] * peak_dir
+                     + np.sin(alpha)[:, None] * tangent)
+    i0 = n_points // 2
+    i = next(i for i in range(i0, -1, -1) if vals[i] < half_level)
+    left = alpha[i] + (half_level - vals[i]) / (vals[i + 1] - vals[i]) * (
+        alpha[i + 1] - alpha[i])
+    i = next(i for i in range(i0, n_points) if vals[i] < half_level)
+    right = alpha[i - 1] + (half_level - vals[i - 1]) / (
+        vals[i] - vals[i - 1]) * (alpha[i] - alpha[i - 1])
+    return right - left
 
 
 def monte_carlo_jitter(cloud, geometry, sigma, trials, seed, n_theta):
@@ -122,6 +152,18 @@ class TestSinglePhotonPattern:
         mean = float(np.mean(pattern.evaluator(dirs)))
         assert 0.9 < mean < 1.5
 
+    @pytest.mark.parametrize("N", [1, 10, 50, 500])
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    def test_values_match_complex_phase_sum(self, N, tilt):
+        cloud = sample_cloud(N, 5e-6 if N < 500 else 10e-6, seed=N)
+        geo = geometry_for(tilt)
+        pattern = single_photon_pattern(cloud, geo, n_theta=31)
+        expected = complex_pattern_values(
+            cloud.positions, geo.matching_vector, geo.k4_magnitude,
+            grid_directions(pattern))
+        np.testing.assert_allclose(pattern.values, expected, rtol=1e-12,
+                                   atol=0)
+
 
 class TestPatternMetrics:
     def test_peak_and_width_uniform_ball(self):
@@ -164,8 +206,7 @@ class TestPatternMetrics:
     @pytest.mark.parametrize("N", [20, 50])
     @pytest.mark.parametrize("tilt", [0.0, 0.3])
     def test_grid_background_matches_sampled(self, N, tilt):
-        geo = (EmissionGeometry.tilted(tilt, LAMBDA4) if tilt
-               else EmissionGeometry.collinear_degenerate(LAMBDA4))
+        geo = geometry_for(tilt)
         pattern = single_photon_pattern(sample_cloud(N, 5e-6, seed=N), geo)
         metrics = pattern_metrics(pattern)
         dirs = sample_directions(np.random.default_rng(N), 200_000)
@@ -181,6 +222,62 @@ class TestPatternMetrics:
                                  values=np.ones((5, 10)), n_atoms=1)
         with pytest.raises(ValueError):
             pattern_metrics(pattern)
+
+    def test_jittered_mean_rejected(self):
+        # its background has no phase-sum closed form
+        cloud = sample_cloud(20, 5e-6, seed=17)
+        geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
+        with pytest.raises(ValueError, match="closed form"):
+            pattern_metrics(jittered_pattern(cloud, geo, 0.1e-6))
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    def test_half_resolution_seed_matches_full_grid(self, tilt):
+        geo = geometry_for(tilt)
+        spacing = np.pi / 180
+        for N in (10, 20, 50):
+            for s in range(10):
+                cloud = sample_cloud(N, 5e-6, seed=1000 * N + s)
+                full = pattern_metrics(single_photon_pattern(cloud, geo))
+                half = pattern_metrics(single_photon_pattern(cloud, geo, 91),
+                                       spacing)
+                assert half.peak_value == pytest.approx(full.peak_value,
+                                                        rel=1e-9)
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    def test_closed_form_background_matches_sampled(self, tilt):
+        pattern = single_photon_pattern(sample_cloud(10, 5e-6, seed=21),
+                                        geometry_for(tilt), n_theta=91)
+        metrics = pattern_metrics(pattern, np.pi / 180)
+        dirs = sample_directions(np.random.default_rng(21), 1_000_000)
+        vals = pattern.evaluator(
+            dirs[dirs @ metrics.peak_direction < np.cos(3 * metrics.fwhm)])
+        stderr = np.std(vals) / np.sqrt(len(vals))
+        assert abs(metrics.mean_background - np.mean(vals)) < 3 * stderr
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    def test_bisected_fwhm_matches_dense_cut(self, tilt):
+        geo = geometry_for(tilt)
+        for N, seed in ((10, 1), (20, 2), (50, 3)):
+            pattern = single_photon_pattern(sample_cloud(N, 5e-6, seed=seed),
+                                            geo)
+            metrics = pattern_metrics(pattern)
+            n, e1, e2 = _orthonormal_frame(metrics.peak_direction)
+            half = metrics.peak_value / 2
+            dense = (dense_cut_fwhm(pattern.evaluator, n, e1, half),
+                     dense_cut_fwhm(pattern.evaluator, n, e2, half))
+            np.testing.assert_allclose(metrics.fwhm_cuts, dense, rtol=1e-4)
+
+
+class TestSphericalBessel:
+    def test_matches_scipy(self):
+        # scipy only as the reference; the package computes j_l in numpy
+        from scipy.special import spherical_jn
+        x = np.concatenate([np.linspace(0.0, 50.0, 2001),
+                            np.pi * np.arange(1, 16), [1e-300, 1e-9]])
+        ell = np.arange(81)[:, None]
+        np.testing.assert_allclose(_spherical_jn(80, x),
+                                   spherical_jn(ell, x[None, :]),
+                                   rtol=0, atol=1e-13)
 
 
 class TestDoubleChannel:
@@ -257,8 +354,7 @@ class TestJitteredPattern:
     @pytest.mark.parametrize("tilt", [0.0, 0.3])
     def test_monte_carlo_converges_to_closed_form(self, tilt):
         cloud = sample_cloud(20, 5e-6, seed=16)
-        geo = (EmissionGeometry.tilted(tilt, LAMBDA4) if tilt
-               else EmissionGeometry.collinear_degenerate(LAMBDA4))
+        geo = geometry_for(tilt)
         jp = jittered_pattern(cloud, geo, 0.1e-6, n_theta=31)
         mean, stderr = monte_carlo_jitter(cloud, geo, 0.1e-6, 400, seed=5,
                                           n_theta=31)
