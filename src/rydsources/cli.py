@@ -54,20 +54,29 @@ def _write_json(path, payload):
 def _write_csv(path, provenance, header, rows):
     """One "%.12g" field per number; each row is formatted in one go."""
     line = ",".join(["%.12g"] * len(header)) + "\n"
+    _write_lines(path, provenance, header,
+                 (line % tuple(row) for row in rows))
+
+
+def _write_lines(path, provenance, header, lines):
     with open(path, "w") as fh:
         fh.write("# provenance: %s\n"
                  % json.dumps(provenance, sort_keys=True))
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        fh.writelines(lines)
 
 
 def _write_pattern_csv(path, provenance, pattern):
-    """One (theta, phi_az, P) row per grid point, theta-major."""
-    theta, phi = np.meshgrid(pattern.theta, pattern.phi_az, indexing="ij")
-    # python floats format faster than numpy scalars
-    rows = np.column_stack((theta.ravel(), phi.ravel(),
-                            pattern.values.ravel())).tolist()
-    _write_csv(path, provenance, ["theta", "phi_az", "P"], rows)
+    """One (theta, phi_az, P) row per grid point, theta-major.
+
+    Each angle is formatted once: the rows of one theta share a template
+    "theta,phi_j,%.12g" that takes all their P values in a single %.
+    """
+    thetas = ["%.12g" % t for t in pattern.theta.tolist()]
+    phis = [",%.12g," % p for p in pattern.phi_az.tolist()]
+    _write_lines(path, provenance, ["theta", "phi_az", "P"], (
+        "".join([theta + phi + "%.12g\n" for phi in phis]) % tuple(values)
+        for theta, values in zip(thetas, pattern.values.tolist())))
 
 
 def run_fig1(cfg, out_dir):

@@ -111,13 +111,11 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     r0, v0 = (np.asarray(initial[0], dtype=float),
               np.asarray(initial[1], dtype=float))
     mass = field_.species.mass
+    gravity = np.array([0.0, 0.0, -_G if config.gravity else 0.0])
 
     def rhs(t, y):
         _, force, rate = field_.evaluate(y[:3], state)
-        a = force / mass
-        if config.gravity:
-            a = a + np.array([0.0, 0.0, -_G])
-        return np.concatenate([y[3:6], a, [rate]])
+        return np.concatenate((y[3:6], force / mass + gravity, (rate,)))
 
     def region_event(t, y):
         return np.linalg.norm(y[:3]) - config.region_radius
@@ -145,19 +143,25 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
         kick_event.direction = 1
         events.append(kick_event)
 
-    t = 0.0
+    t, step = 0.0, None
     y = np.concatenate([r0, v0, [0.0]])
     times, states = [[t]], [[y]]
     while t < config.duration:
         sol = solve_ivp(rhs, (t, config.duration), y, method="DOP853",
                         rtol=config.tolerance, atol=config.tolerance * 1e-3,
-                        events=events, max_step=config.duration - t)
+                        events=events, max_step=config.duration - t,
+                        first_step=(None if step is None
+                                    else min(step, config.duration - t)))
         times.append(sol.t[1:])
         states.append(sol.y.T[1:])
         if sol.status != 1 or sol.t_events[0].size:
             break                   # reached the end or left the region
         # the photon integral crossed its Exp(1) draw: one scattering event
         t, y = sol.t[-1], sol.y[:, -1].copy()
+        # resume at the last full step rather than ramp up from scratch;
+        # a kick inside the first step keeps the step it started with
+        if sol.t.size > 2:
+            step = sol.t[-2] - sol.t[-3]
         y[3:6] += hk * eject_beam.axis + hk * sample_directions(rng, 1)[0]
         states[-1][-1] = y
         photons_sampled += 1

@@ -43,6 +43,11 @@ class GaussianBeam:
         object.__setattr__(self, "axis", axis / norm)
         object.__setattr__(self, "focus_position",
                            np.asarray(self.focus_position, dtype=float))
+        # focus, axis, w0^2, (w0 / zR)^2 and 2P / pi for _intensity_terms
+        object.__setattr__(self, "_kernel", (
+            *self.focus_position.tolist(), *self.axis.tolist(),
+            self.waist ** 2, (self.waist / self.rayleigh_range) ** 2,
+            2 * self.power / np.pi))
 
     @property
     def rayleigh_range(self):
@@ -57,39 +62,46 @@ class GaussianBeam:
         return 2 * np.pi / self.wavelength
 
 
-def _beam_coords(beam, r):
-    rel = np.asarray(r, dtype=float) - beam.focus_position
-    z = rel @ beam.axis
-    rho2 = np.maximum(np.sum(rel * rel, axis=-1) - z * z, 0.0)
-    return rel, z, rho2
+def _intensity_terms(k, x, y, z):
+    """I (W/m^2) and grad I (W/m^3), component by component, at (x, y, z).
 
-
-def intensity_and_gradient(beam, r):
-    """Intensity I (W/m^2) and analytic grad I (W/m^3) at r, shape (..., 3)."""
-    rel, z, rho2 = _beam_coords(beam, r)
-    zR = beam.rayleigh_range
-    w2 = beam.waist ** 2 * (1 + (z / zR) ** 2)
-    I = 2 * beam.power / (np.pi * w2) * np.exp(-2 * rho2 / w2)
-    dw2_dz = 2 * z * beam.waist ** 2 / zR ** 2
-    dI_drho2 = (-2 * I / w2)[..., None]
-    dI_dz = (I * dw2_dz * (2 * rho2 - w2) / w2 ** 2)[..., None]
-    grad_rho2 = 2 * (rel - z[..., None] * beam.axis)
-    return I, dI_drho2 * grad_rho2 + dI_dz * beam.axis
+    `k` is a beam's `_kernel` tuple. Only ufuncs and arithmetic, so one
+    point runs on float64 scalars and a batch on arrays, the same way.
+    """
+    fx, fy, fz, ax, ay, az, w02, c, p2 = k
+    dx, dy, dz = x - fx, y - fy, z - fz
+    zb = dx * ax + dy * ay + dz * az                 # along the axis
+    px, py, pz = dx - zb * ax, dy - zb * ay, dz - zb * az   # rel - zb axis
+    w2 = w02 + c * zb * zb
+    u = 2 * (px * px + py * py + pz * pz) / w2       # 2 rho^2 / w^2
+    I = p2 / w2 * np.exp(-u)
+    # grad I = dI/drho^2 grad rho^2 + dI/dz axis, grad rho^2 = 2 (rel -
+    # zb axis), dI/drho^2 = -2 I / w^2, dI/dz = (I / w^2) (dw^2/dz) (u - 1)
+    q = I / w2
+    g = -4 * q
+    h = q * 2 * c * zb * (u - 1)
+    return I, g * px + h * ax, g * py + h * ay, g * pz + h * az
 
 
 def intensity(beam, r):
     """Intensity (W/m^2) at position(s) r, shape (..., 3)."""
-    return intensity_and_gradient(beam, r)[0]
+    r = np.asarray(r, dtype=float)
+    return _intensity_terms(beam._kernel, r[..., 0], r[..., 1], r[..., 2])[0]
+
+
+def _line_terms(detuning, species):
+    """hbar Delta / 2 and I_sat (1 + (2 Delta / Gamma)^2) of one detuning."""
+    if detuning == 0:
+        raise ResonantLightError("resonant light is unsupported")
+    return (hbar * detuning / 2,
+            species.saturation_intensity
+            * (1 + (2 * detuning / species.linewidth_Gamma) ** 2))
 
 
 def dipole_potential(I, detuning, species=RB87):
     """Two-level light shift (J); sign follows the detuning sign."""
-    if detuning == 0:
-        raise ResonantLightError("resonant light is unsupported")
-    gamma = species.linewidth_Gamma
-    s_eff = (np.asarray(I) / species.saturation_intensity
-             / (1 + (2 * detuning / gamma) ** 2))
-    return hbar * detuning / 2 * np.log1p(s_eff)
+    half, i_eff = _line_terms(detuning, species)
+    return half * np.log1p(np.asarray(I) / i_eff)
 
 
 def scattering_rate(I, detuning, species=RB87):
@@ -132,7 +144,8 @@ class StateDetunings:
 class StatePotentialField:
     """Summed per-state potentials/forces from a list of detuned beams.
 
-    Immutable; safe to share across concurrent trajectory workers.
+    Immutable. Every beam's constants for both states are built once, so
+    a zero detuning is rejected here rather than at the first call.
     """
 
     beams: tuple                        # ((GaussianBeam, StateDetunings), ...)
@@ -142,25 +155,37 @@ class StatePotentialField:
         if len(self.beams) < 1:
             raise ValueError("at least one beam is required")
         object.__setattr__(self, "beams", tuple(self.beams))
+        object.__setattr__(self, "_terms", {
+            state: tuple((beam._kernel,
+                          *_line_terms(det.for_state(state), self.species))
+                         for beam, det in self.beams)
+            for state in ("a", "b")})
 
     def evaluate(self, r, state):
         """(U in J, F = -grad U in N, scattering rate in 1/s) at r.
 
-        r is a single point (3,) or a batch (..., 3); every beam's
-        intensity and gradient are computed once and feed all three.
+        r is a single point (3,) or a batch (..., 3); one pass over each
+        beam's intensity and gradient feeds all three. With
+        I_eff = I_sat (1 + (2 Delta / Gamma)^2), U = (hbar Delta / 2)
+        ln(1 + I / I_eff), dU/dI = (hbar Delta / 2) / (I + I_eff) and
+        R = (Gamma / 2) I / (I + I_eff).
         """
+        if state not in self._terms:
+            raise ValueError("state must be 'a' or 'b', got %r" % (state,))
         r = np.asarray(r, dtype=float)
-        U, F, R = 0.0, np.zeros(r.shape), 0.0
-        for beam, det in self.beams:
-            delta = det.for_state(state)
-            I, grad = intensity_and_gradient(beam, r)
-            U = U + dipole_potential(I, delta, self.species)
-            dU_dI = hbar * delta / 2 / (
-                self.species.saturation_intensity
-                * (1 + (2 * delta / self.species.linewidth_Gamma) ** 2) + I)
-            F -= dU_dI[..., None] * grad
-            R = R + scattering_rate(I, delta, self.species)
-        return U, F, R
+        # [()] makes a point's 0-d views float64 scalars; arrays pass as is
+        x, y, z = r[..., 0][()], r[..., 1][()], r[..., 2][()]
+        U = S = Fx = Fy = Fz = 0.0
+        for k, half, i_eff in self._terms[state]:
+            I, gx, gy, gz = _intensity_terms(k, x, y, z)
+            inv = 1 / (I + i_eff)
+            U = U + half * np.log1p(I / i_eff)
+            S = S + I * inv
+            dU_dI = half * inv
+            Fx, Fy, Fz = Fx - dU_dI * gx, Fy - dU_dI * gy, Fz - dU_dI * gz
+        F = np.empty(r.shape)
+        F[..., 0], F[..., 1], F[..., 2] = Fx, Fy, Fz
+        return U, F, self.species.linewidth_Gamma / 2 * S
 
     def potential(self, r, state):
         """U_state(r) in J."""

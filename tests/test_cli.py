@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rydsources.cli import _write_csv, main
+from rydsources.cli import _write_csv, _write_pattern_csv, main
 from rydsources.config import (_AT_LEAST, SCHEMAS, ConfigError, load_config,
                                load_config_file, species_from_config)
+from rydsources.emission import EmissionGeometry, single_photon_pattern
+from rydsources.ensemble import sample_cloud
 
 TWO_PI = 2 * np.pi
 
@@ -368,6 +370,23 @@ class TestCsvWriter:
         lines = path.read_text().splitlines(keepends=True)
         assert lines[:2] == ['# provenance: {"seed": 7}\n', "a,b,c,d,e\n"]
         assert "".join(lines[2:]) == per_value_csv_rows(rows)
+
+    def test_pattern_matches_row_writer(self, tmp_path):
+        # the row-by-row form the per-theta templates replaced
+        cloud = sample_cloud(12, 2e-6, 5)
+        pattern = single_photon_pattern(
+            cloud, EmissionGeometry.tilted(0.3, 0.78e-6), 41)
+        theta, phi = np.meshgrid(pattern.theta, pattern.phi_az,
+                                 indexing="ij")
+        rows = np.column_stack((theta.ravel(), phi.ravel(),
+                                pattern.values.ravel())).tolist()
+        _write_csv(str(tmp_path / "rows.csv"), {"seed": 7},
+                   ["theta", "phi_az", "P"], rows)
+        _write_pattern_csv(str(tmp_path / "pattern.csv"), {"seed": 7},
+                           pattern)
+        assert ((tmp_path / "pattern.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -5,11 +5,48 @@ from scipy.integrate import dblquad
 
 from rydsources.optics import (GaussianBeam, ResonantLightError,
                                StateDetunings, dipole_potential, intensity,
-                               intensity_and_gradient, scattering_rate,
-                               state_potentials)
+                               scattering_rate, state_potentials)
 from rydsources.species import RB87
 
 TWO_PI = 2 * np.pi
+
+
+# The vector form the field kernel replaced, kept as the slow reference.
+def _beam_coords(beam, r):
+    rel = np.asarray(r, dtype=float) - beam.focus_position
+    z = rel @ beam.axis
+    rho2 = np.maximum(np.sum(rel * rel, axis=-1) - z * z, 0.0)
+    return rel, z, rho2
+
+
+def intensity_and_gradient(beam, r):
+    """Intensity I (W/m^2) and analytic grad I (W/m^3) at r, shape (..., 3)."""
+    rel, z, rho2 = _beam_coords(beam, r)
+    zR = beam.rayleigh_range
+    w2 = beam.waist ** 2 * (1 + (z / zR) ** 2)
+    I = 2 * beam.power / (np.pi * w2) * np.exp(-2 * rho2 / w2)
+    dw2_dz = 2 * z * beam.waist ** 2 / zR ** 2
+    dI_drho2 = (-2 * I / w2)[..., None]
+    dI_dz = (I * dw2_dz * (2 * rho2 - w2) / w2 ** 2)[..., None]
+    grad_rho2 = 2 * (rel - z[..., None] * beam.axis)
+    return I, dI_drho2 * grad_rho2 + dI_dz * beam.axis
+
+
+def reference_evaluate(field, r, state):
+    """(U, F, R) summed beam by beam from the reference formulas."""
+    r = np.asarray(r, dtype=float)
+    isat, gamma = field.species.saturation_intensity, field.species.linewidth_Gamma
+    U, F, R = 0.0, np.zeros(r.shape), 0.0
+    for beam, det in field.beams:
+        delta = det.for_state(state)
+        I, grad = intensity_and_gradient(beam, r)
+        U = U + hbar * delta / 2 * np.log1p(
+            I / isat / (1 + (2 * delta / gamma) ** 2))
+        dU_dI = hbar * delta / 2 / (isat * (1 + (2 * delta / gamma) ** 2) + I)
+        F = F - dU_dI[..., None] * grad
+        s = I / isat
+        R = R + gamma / 2 * s / (1 + s + (2 * delta / gamma) ** 2)
+    return U, F, R
 
 FORT = GaussianBeam(power=0.1, waist=5e-6, wavelength=1.06e-6)
 EJECT = GaussianBeam(power=9e-6, waist=10e-6, wavelength=780e-9,
@@ -255,6 +292,53 @@ class TestStatePotentialField:
         assert np.array_equal(U2.ravel(), U)
         assert np.array_equal(F2.reshape(200, 3), F)
         assert np.array_equal(R2.ravel(), R)
+
+    @pytest.mark.parametrize("state", ["a", "b"])
+    def test_kernel_matches_reference(self, state):
+        # tilted axis and off-origin focus; points on every beam's axis
+        # (rho^2 = 0), in its focal plane (z = 0) and at its focus
+        tilted = GaussianBeam(power=1e-3, waist=3e-6, wavelength=1e-6,
+                              axis=(1, 1, 0.3), focus_position=(1e-6, 0, -2e-6))
+        f = state_potentials(
+            [(FORT, StateDetunings.far_off_resonance(1.06e-6)),
+             (EJECT, StateDetunings.from_detuning_b(TWO_PI * 1e9)),
+             (tilted, StateDetunings.from_detuning_b(-TWO_PI * 3e9))])
+        rng = np.random.default_rng(3)
+        pts = [rng.uniform(-15e-6, 15e-6, (2000, 3))]
+        for beam, _ in f.beams:
+            t = rng.uniform(-15e-6, 15e-6, (20, 1))
+            v = rng.uniform(-15e-6, 15e-6, (20, 3))
+            v -= (v @ beam.axis)[:, None] * beam.axis
+            pts += [beam.focus_position + t * beam.axis,
+                    beam.focus_position + v, beam.focus_position[None]]
+        pts = np.concatenate(pts)
+
+        def check(r):
+            U, F, R = f.evaluate(r, state)
+            U0, F0, R0 = reference_evaluate(f, r, state)
+            assert F.shape == np.shape(r)
+            # red and blue shifts can cancel: U relative to sum |U_beam|
+            scale = sum(np.abs(reference_evaluate(
+                state_potentials([b]), r, state)[0]) for b in f.beams)
+            assert np.all(np.abs(U - U0) <= 1e-12 * scale)
+            np.testing.assert_allclose(R, R0, rtol=1e-12, atol=0)
+            err = np.linalg.norm(F - F0, axis=-1)
+            assert np.all(err <= 1e-12 * np.linalg.norm(F0, axis=-1))
+        check(pts)
+        for p in pts[::50]:
+            check(p)                        # a single (3,) point
+        check(pts[-1])                      # the tilted beam's focus
+
+    def test_resonant_field_rejected(self):
+        # a zero detuning for either state fails when the field is built
+        for det in (StateDetunings(detuning_a=0.0, detuning_b=1e9),
+                    StateDetunings.from_detuning_b(0.0)):
+            with pytest.raises(ResonantLightError):
+                state_potentials([(FORT, det)])
+
+    def test_unknown_state_rejected(self):
+        with pytest.raises(ValueError):
+            self.field().evaluate(np.zeros(3), "c")
 
     def test_empty_field_rejected(self):
         with pytest.raises(ValueError):
