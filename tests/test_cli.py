@@ -388,7 +388,6 @@ class TestCsvWriter:
                 == (tmp_path / "rows.csv").read_bytes())
 
 
-
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(N_values=st.lists(st.integers(1, 12), min_size=1, max_size=2),
        trials=st.integers(1, 3), grid_points=st.integers(2, 61),

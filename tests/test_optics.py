@@ -35,7 +35,8 @@ def intensity_and_gradient(beam, r):
 def reference_evaluate(field, r, state):
     """(U, F, R) summed beam by beam from the reference formulas."""
     r = np.asarray(r, dtype=float)
-    isat, gamma = field.species.saturation_intensity, field.species.linewidth_Gamma
+    isat = field.species.saturation_intensity
+    gamma = field.species.linewidth_Gamma
     U, F, R = 0.0, np.zeros(r.shape), 0.0
     for beam, det in field.beams:
         delta = det.for_state(state)
@@ -47,6 +48,7 @@ def reference_evaluate(field, r, state):
         s = I / isat
         R = R + gamma / 2 * s / (1 + s + (2 * delta / gamma) ** 2)
     return U, F, R
+
 
 FORT = GaussianBeam(power=0.1, waist=5e-6, wavelength=1.06e-6)
 EJECT = GaussianBeam(power=9e-6, waist=10e-6, wavelength=780e-9,
@@ -298,7 +300,8 @@ class TestStatePotentialField:
         # tilted axis and off-origin focus; points on every beam's axis
         # (rho^2 = 0), in its focal plane (z = 0) and at its focus
         tilted = GaussianBeam(power=1e-3, waist=3e-6, wavelength=1e-6,
-                              axis=(1, 1, 0.3), focus_position=(1e-6, 0, -2e-6))
+                              axis=(1, 1, 0.3),
+                              focus_position=(1e-6, 0, -2e-6))
         f = state_potentials(
             [(FORT, StateDetunings.far_off_resonance(1.06e-6)),
              (EJECT, StateDetunings.from_detuning_b(TWO_PI * 1e9)),
