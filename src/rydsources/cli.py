@@ -97,7 +97,8 @@ def run_fig1(cfg, out_dir):
 
     fit_rows = [r for r in rows if 10 <= r["N"] <= 100]
     fit = None
-    if len(fit_rows) >= 3:
+    # a repeated N adds a row but no abscissa; one N alone has no slope
+    if len({r["N"] for r in fit_rows}) >= 3:
         n = np.array([r["N"] for r in fit_rows], dtype=float)
         y = np.array([r["P_zero_mean"] + r["P_double_mean"]
                       for r in fit_rows])

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.constants import hbar, k as k_B
 from scipy.integrate import solve_ivp
 
+from .blockade import IntegrationError
 from .ensemble import sample_ball, sample_directions
 from .optics import scattering_rate
 from .species import RB87
@@ -152,6 +153,10 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
                         events=events, max_step=config.duration - t,
                         first_step=(None if step is None
                                     else min(step, config.duration - t)))
+        if sol.status == -1:
+            raise IntegrationError(
+                "trajectory integration failed: %s (t reached %.3e of "
+                "%.3e s)" % (sol.message, sol.t[-1], config.duration))
         times.append(sol.t[1:])
         states.append(sol.y.T[1:])
         if sol.status != 1 or sol.t_events[0].size:

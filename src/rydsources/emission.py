@@ -138,11 +138,50 @@ def _pattern_values(positions, q_offset, k4, directions):
     return vals.reshape(dirs.shape[:-1]) / positions.shape[0]
 
 
+def _grid_values(positions, q_offset, k4, theta, phi):
+    """_pattern_values on the theta x phi grid (phi: an even count over
+    [0, 2 pi)), with one cos and one sin per four directions.
+
+    q . r = A + B with A = k4 sin(theta) (x cos(phi) + y sin(phi)) and
+    B = k4 cos(theta) z - q_offset . r. phi + pi flips the sign of A and
+    pi - theta keeps A, so c + i s = exp(i A), taken for theta <= pi/2
+    and phi < pi, serves four grid points. u + i v = exp(i B) is taken
+    once per row, and sum exp(i (+-A + B)) = (c.u -+ s.v) + i (c.v +- s.u).
+    """
+    n_theta, n_half = len(theta), len(phi) // 2
+    x, y, z = positions.T
+    transverse = k4 * (np.cos(phi[:n_half, None]) * x
+                       + np.sin(phi[:n_half, None]) * y)
+    b = k4 * np.cos(theta)[:, None] * z - positions @ q_offset
+    u, v = np.cos(b), np.sin(b)
+    values = np.empty((n_theta, 2 * n_half))
+    upper = (n_theta + 1) // 2
+    rows = max(1, _DIRECTION_BLOCK // n_half)
+    for start in range(0, upper, rows):
+        i = np.arange(start, min(start + rows, upper))
+        mirror = n_theta - 1 - i
+        a = np.sin(theta[i])[:, None, None] * transverse
+        uv = np.stack([u[i], u[mirror], v[i], v[mirror]], axis=-1)
+        c, s = np.cos(a) @ uv, np.sin(a, out=a) @ uv
+        # the last axis of each: row i, then its mirror row
+        cu, cv, su, sv = c[..., :2], c[..., 2:], s[..., :2], s[..., 2:]
+        plus = (cu - sv) ** 2 + (cv + su) ** 2      # phi < pi
+        minus = (cu + sv) ** 2 + (cv - su) ** 2     # phi + pi
+        for k, row in enumerate((i, mirror)):
+            values[row, :n_half] = plus[..., k]
+            values[row, n_half:] = minus[..., k]
+    return values / len(positions)
+
+
 def _make_pattern(evaluator, n_theta, n_atoms, **phase_sum):
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2 * np.pi, 2 * n_theta, endpoint=False)
-    dirs = _dir_from_angles(*np.meshgrid(theta, phi, indexing="ij"))
-    return AngularPattern(theta=theta, phi_az=phi, values=evaluator(dirs),
+    if phase_sum:
+        values = _grid_values(theta=theta, phi=phi, **phase_sum)
+    else:
+        values = evaluator(_dir_from_angles(*np.meshgrid(theta, phi,
+                                                         indexing="ij")))
+    return AngularPattern(theta=theta, phi_az=phi, values=values,
                           n_atoms=n_atoms, evaluator=evaluator, **phase_sum)
 
 

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rydsources import ejection
 from rydsources.cli import _write_csv, _write_pattern_csv, main
 from rydsources.config import (_AT_LEAST, SCHEMAS, ConfigError, load_config,
                                load_config_file, species_from_config)
 from rydsources.emission import EmissionGeometry, single_photon_pattern
 from rydsources.ensemble import sample_cloud
+from test_ejection import failed_step
 
 TWO_PI = 2 * np.pi
 
@@ -351,6 +353,17 @@ class TestCliErrors:
         assert main(["eject", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_failed_trajectory_step_exit_code(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(ejection, "solve_ivp", failed_step)
+        cfg = write_config(tmp_path, SMALL_EJECT)
+        assert main(["eject", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical failure: trajectory integration failed")
+        assert err.count("\n") == 1
+
 
 def per_value_csv_rows(rows):
     """The per-value formatting _write_csv replaced: its reference."""
@@ -422,5 +435,43 @@ def test_emission_cli_fuzz(N_values, trials, grid_points, diameter, tilt,
         assert len(err.getvalue().splitlines()) + len(caught) <= 1
         if rc == 0:
             assert os.path.exists(os.path.join(out, "emission_metrics.json"))
+        else:
+            assert not os.path.exists(out)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(N_values=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       trials=st.integers(1, 3), cap=st.integers(0, 6),
+       diameter=st.floats(0.05, 50.0), rabi=st.floats(0.001, 100.0))
+# one run that passes with the integrator on, and one whose drive is too
+# strong for the truncated basis once the integrator starts
+@example(N_values=[1, 2, 5], trials=2, cap=5, diameter=5.0, rabi=1.0)
+@example(N_values=[2, 5], trials=2, cap=5, diameter=50.0, rabi=100.0)
+# repeated N values in the 10..100 fit range, which once made polyfit warn
+@example(N_values=[10, 10, 10], trials=1, cap=0, diameter=5.0, rabi=1.0)
+def test_fig1_cli_fuzz(N_values, trials, cap, diameter, rabi):
+    """Tiny fig1 runs past the config phase keep the exit-code contract:
+    0, 2 or 3, at most one stderr line, and no --out directory left
+    behind on a failure."""
+    cfg = {"N_values": N_values, "trials": trials,
+           "full_integrator_cap": cap, "diameter": "%r um" % diameter,
+           "rabi": "%r MHz" % rabi}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fig1", "--config", path, "--out", out])
+        assert rc in (0, 2, 3)
+        # a warning prints two stderr lines in a real run: its message
+        # and the source line
+        assert len(err.getvalue().splitlines()) + 2 * len(caught) <= 1, (
+            err.getvalue(), [str(w.message) for w in caught])
+        if rc == 0:
+            assert os.path.exists(os.path.join(out, "fig1_summary.json"))
         else:
             assert not os.path.exists(out)

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
+from rydsources import ejection
+from rydsources.blockade import IntegrationError
 from rydsources.ejection import (EjectConfig, NoEscapeError, NotEjectedError,
                                  TrajectoryResult, characteristic_eject_time,
                                  collimation_stats, sample_thermal_initial,
@@ -17,6 +21,13 @@ EJECT = GaussianBeam(power=9e-6, waist=10e-6, wavelength=780e-9,
                      focus_position=(-3e-6, 0, 0))
 FORT_DET = StateDetunings.far_off_resonance(1.06e-6)
 EJECT_DET = StateDetunings.from_detuning_b(TWO_PI * 1e9)
+
+
+def failed_step(*args, **kwargs):
+    """A DOP853 result whose step failed at 1 us (status -1)."""
+    return SimpleNamespace(
+        status=-1, success=False, t=np.array([0.0, 1e-6]),
+        message="Required step size is less than spacing between numbers.")
 
 
 def eject_field():
@@ -147,6 +158,12 @@ class TestTrajectories:
         assert tr.truncated
         assert np.linalg.norm(tr.positions[-1]) == pytest.approx(
             20e-6, rel=1e-6)
+
+    def test_failed_step_raises(self, monkeypatch):
+        monkeypatch.setattr(ejection, "solve_ivp", failed_step)
+        with pytest.raises(IntegrationError, match="Required step size"):
+            simulate_trajectory((np.zeros(3), np.zeros(3)), eject_field(),
+                                "b", EjectConfig(duration=50e-6))
 
     def test_output_resampled(self):
         field = eject_field()
