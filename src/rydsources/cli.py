@@ -23,7 +23,7 @@ from .config import (SCHEMAS, ConfigError, load_config, load_config_file,
 from .ejection import (EjectConfig, NoEscapeError, NotEjectedError,
                        characteristic_eject_time, collimation_stats,
                        sample_thermal_initial, scan_fig2,
-                       simulate_trajectory)
+                       simulate_ensemble)
 from .emission import (EmissionGeometry, GridResolutionError,
                        double_excitation_at, jittered_pattern,
                        pattern_metrics, single_photon_pattern)
@@ -197,13 +197,12 @@ def run_eject(cfg, out_dir):
             cfg["temperature"], count,
             trial_seed(cfg["seed"], 1 if state == "b" else 2, 0),
             cfg["cloud_diameter"], species=species)
-        trajs = []
-        for i in range(count):
-            tr = simulate_trajectory(
-                (pos[i], vel[i]), field, state, econf,
-                seed=trial_seed(cfg["seed"], 3 if state == "b" else 4, i))
-            trajs.append(tr)
-            if state == "b":
+        trajs = simulate_ensemble(
+            pos, vel, field, state, econf,
+            seeds=[trial_seed(cfg["seed"], 3 if state == "b" else 4, i)
+                   for i in range(count)])
+        if state == "b":
+            for i, tr in enumerate(trajs):
                 for t, p, v, ph in zip(tr.times, tr.positions,
                                        tr.velocities, tr.photons_expected):
                     traj_rows.append([i, t, p[0], p[1], p[2],

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import hbar, k as k_B
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .blockade import IntegrationError
 from .ensemble import sample_ball, sample_directions
@@ -100,6 +101,45 @@ def sample_thermal_initial(T, N, seed, cloud_diameter, species=RB87,
     return positions, velocities
 
 
+def _gravity(config):
+    return np.array([0.0, 0.0, -_G if config.gravity else 0.0])
+
+
+def _exit_event(radius, offset=0):
+    """Terminal event: the atom at y[offset:offset + 3] leaves `radius`."""
+    def event(t, y):
+        return np.linalg.norm(y[offset:offset + 3]) - radius
+    event.terminal = True
+    event.direction = 1
+    return event
+
+
+def _segment(rhs, t, y, events, step, config, members=1):
+    """One DOP853 run from t until the end or a terminal event.
+
+    Tolerances are divided by sqrt(members): the joint RMS error norm
+    squared is then the sum of the members' own, so each member meets
+    the tolerance it would have alone.
+    """
+    tol = config.tolerance / np.sqrt(members)
+    sol = solve_ivp(rhs, (t, config.duration), y, method="DOP853",
+                    rtol=tol, atol=tol * 1e-3, events=events,
+                    max_step=config.duration - t,
+                    first_step=(None if step is None
+                                else min(step, config.duration - t)))
+    if sol.status == -1:
+        raise IntegrationError(
+            "trajectory integration failed: %s (t reached %.3e of "
+            "%.3e s)" % (sol.message, sol.t[-1], config.duration))
+    return sol
+
+
+def _last_full_step(sol, step):
+    """The last full accepted step, to resume at rather than ramp up from
+    scratch; a stop inside the first step keeps the step it started with."""
+    return sol.t[-2] - sol.t[-3] if sol.t.size > 2 else step
+
+
 def simulate_trajectory(initial, field_, state, config, seed=None,
                         n_samples=400):
     """Integrate one atom; returns a TrajectoryResult.
@@ -112,18 +152,13 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     r0, v0 = (np.asarray(initial[0], dtype=float),
               np.asarray(initial[1], dtype=float))
     mass = field_.species.mass
-    gravity = np.array([0.0, 0.0, -_G if config.gravity else 0.0])
+    gravity = _gravity(config)
 
     def rhs(t, y):
         _, force, rate = field_.evaluate(y[:3], state)
         return np.concatenate((y[3:6], force / mass + gravity, (rate,)))
 
-    def region_event(t, y):
-        return np.linalg.norm(y[:3]) - config.region_radius
-    region_event.terminal = True
-    region_event.direction = 1
-    events = [region_event]
-
+    events = [_exit_event(config.region_radius)]
     photons_sampled = None
     if config.include_recoil_kicks:
         if seed is None:
@@ -147,62 +182,175 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     t, step = 0.0, None
     y = np.concatenate([r0, v0, [0.0]])
     times, states = [[t]], [[y]]
+    kicks, recorded = [], 1
     while t < config.duration:
-        sol = solve_ivp(rhs, (t, config.duration), y, method="DOP853",
-                        rtol=config.tolerance, atol=config.tolerance * 1e-3,
-                        events=events, max_step=config.duration - t,
-                        first_step=(None if step is None
-                                    else min(step, config.duration - t)))
-        if sol.status == -1:
-            raise IntegrationError(
-                "trajectory integration failed: %s (t reached %.3e of "
-                "%.3e s)" % (sol.message, sol.t[-1], config.duration))
+        sol = _segment(rhs, t, y, events, step, config)
         times.append(sol.t[1:])
         states.append(sol.y.T[1:])
+        recorded += sol.t.size - 1
         if sol.status != 1 or sol.t_events[0].size:
             break                   # reached the end or left the region
         # the photon integral crossed its Exp(1) draw: one scattering event
         t, y = sol.t[-1], sol.y[:, -1].copy()
-        # resume at the last full step rather than ramp up from scratch;
-        # a kick inside the first step keeps the step it started with
-        if sol.t.size > 2:
-            step = sol.t[-2] - sol.t[-3]
+        step = _last_full_step(sol, step)
+        kicks.append((recorded - 1, y[3:6].copy()))
         y[3:6] += hk * eject_beam.axis + hk * sample_directions(rng, 1)[0]
         states[-1][-1] = y
         photons_sampled += 1
         next_kick = y[6] + rng.exponential()
-    times, states = np.concatenate(times), np.concatenate(states)
+    result = _trajectory_result(np.concatenate(times), np.concatenate(states),
+                                kicks, field_, state, config, n_samples)
+    result.photons_sampled = photons_sampled
+    return result
 
-    # resample to a bounded number of output points (endpoints kept)
+
+def simulate_ensemble(positions, velocities, field_, state, config,
+                      seeds=None, n_samples=400):
+    """Integrate atoms of one state; returns a list of TrajectoryResults.
+
+    Without recoil kicks, two or more atoms are stacked into one DOP853
+    system: one batched field evaluation per right-hand side, per-atom
+    tolerance (see `_segment`) and one region-exit event per atom. An
+    atom that leaves ends there, and the rest resume at the last full
+    step. With kicks, or for one atom, each atom runs through
+    `simulate_trajectory` with its own seed.
+    """
+    positions = np.asarray(positions, dtype=float)
+    velocities = np.asarray(velocities, dtype=float)
+    m = len(positions)
+    if config.include_recoil_kicks or m == 1:
+        return [simulate_trajectory(
+                    (positions[i], velocities[i]), field_, state, config,
+                    seed=None if seeds is None else seeds[i],
+                    n_samples=n_samples)
+                for i in range(m)]
+    mass = field_.species.mass
+    gravity = _gravity(config)
+
+    def rhs(t, y):
+        y = y.reshape(-1, 7)
+        _, force, rate = field_.evaluate(y[:, :3], state)
+        dy = np.empty_like(y)
+        dy[:, :3] = y[:, 3:6]
+        dy[:, 3:6] = force / mass + gravity
+        dy[:, 6] = rate
+        return dy.ravel()
+
+    t, step = 0.0, None
+    y0 = np.column_stack((positions, velocities, np.zeros(m)))
+    times, states = [[[t]] for _ in range(m)], [[row[None]] for row in y0]
+    active, y = list(range(m)), y0.ravel()
+    while active and t < config.duration:
+        events = [_exit_event(config.region_radius, 7 * j)
+                  for j in range(len(active))]
+        sol = _segment(rhs, t, y, events, step, config, len(active))
+        ys = sol.y.T[1:].reshape(sol.t.size - 1, len(active), 7)
+        for j, i in enumerate(active):
+            times[i].append(sol.t[1:])
+            states[i].append(ys[:, j])
+        if sol.status != 1:
+            break                   # reached the end
+        # an atom left the region: it ends here, the others go on
+        stay = [j for j, hit in enumerate(sol.t_events) if not hit.size]
+        active = [active[j] for j in stay]
+        t, y = sol.t[-1], sol.y[:, -1].reshape(-1, 7)[stay].ravel()
+        step = _last_full_step(sol, step)
+    return [_trajectory_result(np.concatenate(times[i]),
+                               np.concatenate(states[i]), [], field_, state,
+                               config, n_samples)
+            for i in range(m)]
+
+
+def _hermite(t0, t1, p0, p1, m0, m1):
+    """Cubic Hermite interpolant on [t0, t1] with end slopes m0, m1."""
+    h = t1 - t0
+
+    def at(t):
+        s = (t - t0) / h
+        s2, s3 = s * s, s * s * s
+        return ((2 * s3 - 3 * s2 + 1) * p0 + (s3 - 2 * s2 + s) * h * m0
+                + (3 * s2 - 2 * s3) * p1 + (s3 - s2) * h * m1)
+    return at
+
+
+def _trajectory_result(times, states, kicks, field_, state, config,
+                       n_samples):
+    """TrajectoryResult from the full record of one atom.
+
+    `kicks` lists (record index, pre-kick velocity). Escape (|r| above
+    the escape radius with E > 0) and sweep (displacement above the FORT
+    waist) are found at their crossings on the full record, then the
+    record is resampled to at most n_samples points, endpoints kept.
+    """
+    mass = field_.species.mass
+    r0 = states[0, :3]
+    # the velocity each record point is reached with: pre-kick at a kick
+    arrive_v = states[:, 3:6].copy()
+    for i, v in kicks:
+        arrive_v[i] = v
+    potential, force, _ = field_.evaluate(states[:, :3], state)
+    accel = force / mass + _gravity(config)
+
+    def crossing(*tests):
+        """Time and velocity where every test(r, v, U) first turns
+        positive, U(r) giving the potential; None if they never do.
+
+        A crossing inside the step into record point i is found on cubic
+        Hermite interpolants of the positions and velocities between
+        point i - 1 and the pre-kick state at point i, as the latest
+        root of the tests not yet positive at i - 1. One made by a kick,
+        or true from the start, is read at the point.
+        """
+        def rows(v):
+            return np.column_stack([test(states[:, :3], v, lambda r: potential)
+                                    for test in tests])
+        leave, arrive = rows(states[:, 3:6]), rows(arrive_v)
+        hits = np.flatnonzero(np.all(leave > 0, axis=1)
+                              | np.all(arrive > 0, axis=1))
+        if not hits.size:
+            return None
+        i = int(hits[0])
+        if i == 0 or not np.all(arrive[i] > 0):
+            return times[i], states[i, 3:6]
+        t0, t1 = times[i - 1], times[i]
+        r = _hermite(t0, t1, states[i - 1, :3], states[i, :3],
+                     states[i - 1, 3:6], arrive_v[i])
+        v = _hermite(t0, t1, states[i - 1, 3:6], arrive_v[i],
+                     accel[i - 1], accel[i])
+
+        def U(r):
+            return field_.evaluate(r, state)[0]
+        tc = max(brentq(lambda t, test=test: test(r(t), v(t), U), t0, t1,
+                        xtol=1e-9 * (t1 - t0))
+                 for test, pending in zip(tests, leave[i - 1] <= 0)
+                 if pending)
+        return tc, v(tc)
+
+    escape = crossing(
+        lambda r, v, U: np.sum(r * r, axis=-1) - config.escape_radius ** 2,
+        lambda r, v, U: 0.5 * mass * np.sum(v * v, axis=-1) + U(r))
+    sweep = crossing(lambda r, v, U: (np.sum((r - r0) ** 2, axis=-1)
+                                      - config.fort_waist ** 2))
+
+    truncated = bool(np.linalg.norm(states[-1, :3])
+                     >= config.region_radius * (1 - 1e-9))
     if len(times) > n_samples:
         idx = np.unique(np.linspace(0, len(times) - 1,
                                     n_samples).astype(int))
         times, states = times[idx], states[idx]
-
     result = TrajectoryResult(
         times=times,
         positions=states[:, :3],
         velocities=states[:, 3:6],
         photons_expected=states[:, 6],
-        photons_sampled=photons_sampled,
+        truncated=truncated,
     )
-    result.truncated = (np.linalg.norm(states[-1, :3])
-                        >= config.region_radius * (1 - 1e-9))
-
-    radii = np.linalg.norm(result.positions, axis=1)
-    energies = (0.5 * mass * np.sum(result.velocities ** 2, axis=1)
-                + field_.potential(result.positions, state))
-    outside = (radii > config.escape_radius) & (energies > 0)
-    if np.any(outside):
-        i = int(np.argmax(outside))
+    if escape is not None:
         result.escaped = True
-        result.escape_time = float(result.times[i])
-        v = result.velocities[i]
-        result.exit_direction = v / np.linalg.norm(v)
-    disp = np.linalg.norm(result.positions - r0, axis=1)
-    swept = disp > config.fort_waist
-    if np.any(swept):
-        result.sweep_time = float(result.times[int(np.argmax(swept))])
+        result.escape_time = float(escape[0])
+        result.exit_direction = escape[1] / np.linalg.norm(escape[1])
+    if sweep is not None:
+        result.sweep_time = float(sweep[0])
     return result
 
 

@@ -240,10 +240,19 @@ def _orthonormal_frame(direction):
     helper = np.array([1.0, 0.0, 0.0])
     if abs(n @ helper) > 0.9:
         helper = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(n, helper)
+    e1 = _cross(n, helper)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    e2 = _cross(n, e1)
     return n, e1, e2
+
+
+def _cross(a, b):
+    """np.cross of two 3-vectors, in its order of operations, without
+    its broadcasting overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0])
 
 
 def _fwhm_cuts(evaluator, n, e1, e2, half_level, step, max_angle=1.5):

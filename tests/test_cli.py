@@ -431,8 +431,10 @@ def test_emission_cli_fuzz(N_values, trials, grid_points, diameter, tilt,
             warnings.simplefilter("always")
             rc = main(["emission", "--config", path, "--out", out])
         assert rc in (0, 2, 3)
-        # a warning would print its own stderr lines in a real run
-        assert len(err.getvalue().splitlines()) + len(caught) <= 1
+        # a warning prints two stderr lines in a real run: its message
+        # and the source line
+        assert len(err.getvalue().splitlines()) + 2 * len(caught) <= 1, (
+            err.getvalue(), [str(w.message) for w in caught])
         if rc == 0:
             assert os.path.exists(os.path.join(out, "emission_metrics.json"))
         else:
@@ -473,5 +475,51 @@ def test_fig1_cli_fuzz(N_values, trials, cap, diameter, rabi):
             err.getvalue(), [str(w.message) for w in caught])
         if rc == 0:
             assert os.path.exists(os.path.join(out, "fig1_summary.json"))
+        else:
+            assert not os.path.exists(out)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(trajectories=st.integers(1, 3), trajectories_a=st.integers(1, 2),
+       duration=st.floats(5.0, 30.0), kicks=st.booleans(),
+       gravity=st.booleans(), diameter=st.floats(0.5, 150.0),
+       offset=st.sampled_from(["-3 um", "0 um", "2 um"]),
+       detuning=st.sampled_from(["1 GHz", "0 GHz", "-0.5 GHz"]))
+# one run that passes, with atoms starting outside the 60 um region
+@example(trajectories=3, trajectories_a=2, duration=30.0, kicks=False,
+         gravity=True, diameter=150.0, offset="-3 um", detuning="1 GHz")
+# a centred eject beam exits 3, a resonant one 2
+@example(trajectories=2, trajectories_a=1, duration=10.0, kicks=True,
+         gravity=False, diameter=5.0, offset="0 um", detuning="1 GHz")
+@example(trajectories=2, trajectories_a=1, duration=10.0, kicks=True,
+         gravity=False, diameter=5.0, offset="-3 um", detuning="0 GHz")
+def test_eject_cli_fuzz(trajectories, trajectories_a, duration, kicks,
+                        gravity, diameter, offset, detuning):
+    """Tiny eject runs past the config phase keep the exit-code contract:
+    0, 2 or 3, at most one stderr line, and no --out directory left
+    behind on a failure."""
+    cfg = {"trajectories": trajectories, "trajectories_a": trajectories_a,
+           "duration": "%r us" % duration, "include_recoil_kicks": kicks,
+           "gravity": gravity, "cloud_diameter": "%r um" % diameter,
+           "eject_offset": offset, "eject_detuning_b": detuning,
+           "profile_samples": 11}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["eject", "--config", path, "--out", out])
+        assert rc in (0, 2, 3)
+        # a warning prints two stderr lines in a real run
+        assert len(err.getvalue().splitlines()) + 2 * len(caught) <= 1, (
+            err.getvalue(), [str(w.message) for w in caught])
+        if offset == "0 um" or detuning == "0 GHz":
+            assert rc == (2 if detuning == "0 GHz" else 3)
+        if rc == 0:
+            assert os.path.exists(os.path.join(out, "eject_summary.json"))
         else:
             assert not os.path.exists(out)

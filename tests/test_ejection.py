@@ -9,7 +9,8 @@ from rydsources.blockade import IntegrationError
 from rydsources.ejection import (EjectConfig, NoEscapeError, NotEjectedError,
                                  TrajectoryResult, characteristic_eject_time,
                                  collimation_stats, sample_thermal_initial,
-                                 scan_fig2, simulate_trajectory)
+                                 scan_fig2, simulate_ensemble,
+                                 simulate_trajectory)
 from rydsources.optics import (GaussianBeam, StateDetunings,
                                StatePotentialField, state_potentials)
 from rydsources.species import RB87
@@ -249,6 +250,117 @@ class TestRecoilKicks:
         # transverse velocity is picked up only through kicks
         assert np.linalg.norm(smooth.velocities[-1][1:]) < 1e-6
         assert np.linalg.norm(kicked.velocities[-1][1:]) > 1e-4
+
+
+class TestCrossings:
+    @pytest.mark.parametrize("kicks", [False, True])
+    def test_independent_of_the_tolerance(self, kicks):
+        # read at the first output point past the condition, escape and
+        # sweep times of this atom moved by 5% and 1.4% between these two
+        # tolerances; at the interpolated crossing they agree within
+        # about 2e-6. With kicks, seed 0's sweep step ends at a kick: on
+        # the post-kick velocity the sweep times differ by 1.2e-4
+        field = eject_field()
+        runs = [simulate_trajectory(
+                    (np.zeros(3), np.zeros(3)), field, "b",
+                    EjectConfig(duration=300e-6, tolerance=tol,
+                                include_recoil_kicks=kicks), seed=0)
+                for tol in (1e-9, 1e-12)]
+        assert runs[0].photons_sampled == runs[1].photons_sampled
+        for name in ("escape_time", "sweep_time"):
+            coarse, fine = (getattr(tr, name) for tr in runs)
+            assert coarse == pytest.approx(fine, rel=1e-5), name
+        np.testing.assert_allclose(runs[0].exit_direction,
+                                   runs[1].exit_direction, atol=1e-5)
+
+    def test_escape_read_at_the_start(self):
+        # already outside the escape radius with E > 0: escaped at t = 0
+        tr = simulate_trajectory((np.array([20e-6, 0.0, 0.0]),
+                                  np.array([0.5, 0.0, 0.0])), eject_field(),
+                                 "b", EjectConfig(duration=20e-6))
+        assert tr.escaped and tr.escape_time == 0.0
+        np.testing.assert_allclose(tr.exit_direction, [1.0, 0.0, 0.0])
+
+
+class TestEnsemble:
+    @staticmethod
+    def members(n_b=11, n_a=3):
+        pos, vel = sample_thermal_initial(30e-6, n_b + n_a, 3, 5e-6)
+        # on the beam axis but outside the field region, so its exit
+        # event never fires and it runs to the end
+        pos[n_b - 1] = (0.0, 0.0, 65e-6)
+        return {"b": (pos[:n_b], vel[:n_b]), "a": (pos[n_b:], vel[n_b:])}
+
+    def test_members_match_single_runs(self):
+        field = eject_field()
+        config = EjectConfig(duration=300e-6, tolerance=1e-9)
+        ends = []
+        for state, (pos, vel) in self.members().items():
+            together = simulate_ensemble(pos, vel, field, state, config)
+            assert len(together) == len(pos)
+            for i, tr in enumerate(together):
+                alone = simulate_trajectory((pos[i], vel[i]), field, state,
+                                            config)
+                assert abs(tr.times[-1] - alone.times[-1]) <= 1e-12
+                assert tr.total_photons_expected == pytest.approx(
+                    alone.total_photons_expected, rel=1e-8)
+                assert tr.truncated == alone.truncated
+                assert tr.escaped == alone.escaped
+                for name in ("escape_time", "sweep_time"):
+                    value, reference = getattr(tr, name), getattr(alone, name)
+                    assert (value is None) == (reference is None), name
+                    if reference is not None:
+                        assert value == pytest.approx(reference, rel=1e-4)
+                if alone.escaped:
+                    np.testing.assert_allclose(tr.exit_direction,
+                                               alone.exit_direction,
+                                               atol=1e-4)
+                ends.append(tr.times[-1] < config.duration)
+        # members left the region mid-run, and others ran to the end
+        assert any(ends) and not all(ends)
+
+    def test_tolerance_per_member(self, monkeypatch):
+        # the joint error norm squared sums the members' own, so each
+        # segment runs at tolerance / sqrt(atoms still in the region)
+        segments = []
+        solve_ivp = ejection.solve_ivp
+
+        def spy(fun, t_span, y0, **kwargs):
+            segments.append((len(y0) // 7, kwargs["rtol"], kwargs["atol"]))
+            return solve_ivp(fun, t_span, y0, **kwargs)
+        monkeypatch.setattr(ejection, "solve_ivp", spy)
+        pos, vel = self.members(n_b=4, n_a=0)["b"]
+        simulate_ensemble(pos[:3], vel[:3], eject_field(), "b",
+                          EjectConfig(duration=300e-6, tolerance=1e-9))
+        assert [m for m, _, _ in segments] == [3, 2, 1]
+        for m, rtol, atol in segments:
+            assert rtol == pytest.approx(1e-9 / np.sqrt(m), rel=1e-15)
+            assert atol == pytest.approx(1e-12 / np.sqrt(m), rel=1e-15)
+
+    def test_kicks_and_single_atoms_run_alone(self):
+        field = eject_field()
+        pos, vel = self.members(n_b=3, n_a=0)["b"]
+        for config, seeds in (
+                (EjectConfig(duration=60e-6, include_recoil_kicks=True),
+                 [11, 12, 13]),
+                (EjectConfig(duration=60e-6), None)):
+            count = 3 if config.include_recoil_kicks else 1
+            together = simulate_ensemble(pos[:count], vel[:count], field,
+                                         "b", config, seeds=seeds)
+            for i, tr in enumerate(together):
+                alone = simulate_trajectory(
+                    (pos[i], vel[i]), field, "b", config,
+                    seed=None if seeds is None else seeds[i])
+                np.testing.assert_array_equal(tr.times, alone.times)
+                np.testing.assert_array_equal(tr.positions, alone.positions)
+                assert tr.photons_sampled == alone.photons_sampled
+
+    def test_failed_step_raises(self, monkeypatch):
+        monkeypatch.setattr(ejection, "solve_ivp", failed_step)
+        pos, vel = self.members(n_b=2, n_a=0)["b"]
+        with pytest.raises(IntegrationError, match="Required step size"):
+            simulate_ensemble(pos, vel, eject_field(), "b",
+                              EjectConfig(duration=50e-6))
 
 
 class TestCollimationStats:

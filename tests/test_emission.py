@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rydsources.emission import (AngularPattern, EmissionGeometry,
-                                 GridResolutionError, _dir_from_angles,
-                                 _orthonormal_frame, _pattern_values,
-                                 _spherical_jn,
+                                 GridResolutionError, _cross,
+                                 _dir_from_angles, _orthonormal_frame,
+                                 _pattern_values, _spherical_jn,
                                  double_excitation_pattern,
                                  expected_peak_direction, jittered_pattern,
                                  motional_blur, pattern_metrics,
@@ -291,6 +291,30 @@ class TestPatternMetrics:
             dense = (dense_cut_fwhm(pattern.evaluator, n, e1, half),
                      dense_cut_fwhm(pattern.evaluator, n, e2, half))
             np.testing.assert_allclose(metrics.fwhm_cuts, dense, rtol=1e-4)
+
+
+def np_cross_frame(direction):
+    """_orthonormal_frame as it was with np.cross: its reference."""
+    n = direction / np.linalg.norm(direction)
+    helper = np.array([1.0, 0.0, 0.0])
+    if abs(n @ helper) > 0.9:
+        helper = np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(n, helper)
+    e1 /= np.linalg.norm(e1)
+    return n, e1, np.cross(n, e1)
+
+
+def test_cross_matches_numpy_bit_for_bit():
+    # the frame feeds every FWHM walk, so the written-out cross product
+    # must give np.cross's bits, over many scales and in the frame
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        a = rng.normal(size=3) * 10.0 ** rng.uniform(-8, 8)
+        b = rng.normal(size=3) * 10.0 ** rng.uniform(-8, 8)
+        np.testing.assert_array_equal(_cross(a, b), np.cross(a, b))
+    for n in np.concatenate([sample_directions(rng, 500), np.eye(3)]):
+        for got, want in zip(_orthonormal_frame(3 * n), np_cross_frame(3 * n)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSphericalBessel:
