@@ -485,8 +485,9 @@ def test_fig1_cli_fuzz(N_values, trials, cap, diameter, rabi):
        gravity=st.booleans(), diameter=st.floats(0.5, 150.0),
        offset=st.sampled_from(["-3 um", "0 um", "2 um"]),
        detuning=st.sampled_from(["1 GHz", "0 GHz", "-0.5 GHz"]))
-# one run that passes, with atoms starting outside the 60 um region
-@example(trajectories=3, trajectories_a=2, duration=30.0, kicks=False,
+# one run that passes, with atoms starting outside the 60 um region and
+# enough |b> atoms to run as one system
+@example(trajectories=6, trajectories_a=2, duration=30.0, kicks=False,
          gravity=True, diameter=150.0, offset="-3 um", detuning="1 GHz")
 # a centred eject beam exits 3, a resonant one 2
 @example(trajectories=2, trajectories_a=1, duration=10.0, kicks=True,

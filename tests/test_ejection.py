@@ -283,6 +283,11 @@ class TestCrossings:
 
 
 class TestEnsemble:
+    @pytest.fixture
+    def batch_from_two(self, monkeypatch):
+        """Stack groups of any size, so small groups test the system."""
+        monkeypatch.setattr(ejection, "_MIN_BATCH", 2)
+
     @staticmethod
     def members(n_b=11, n_a=3):
         pos, vel = sample_thermal_initial(30e-6, n_b + n_a, 3, 5e-6)
@@ -291,7 +296,7 @@ class TestEnsemble:
         pos[n_b - 1] = (0.0, 0.0, 65e-6)
         return {"b": (pos[:n_b], vel[:n_b]), "a": (pos[n_b:], vel[n_b:])}
 
-    def test_members_match_single_runs(self):
+    def test_members_match_single_runs(self, batch_from_two):
         field = eject_field()
         config = EjectConfig(duration=300e-6, tolerance=1e-9)
         ends = []
@@ -319,7 +324,7 @@ class TestEnsemble:
         # members left the region mid-run, and others ran to the end
         assert any(ends) and not all(ends)
 
-    def test_tolerance_per_member(self, monkeypatch):
+    def test_tolerance_per_member(self, monkeypatch, batch_from_two):
         # the joint error norm squared sums the members' own, so each
         # segment runs at tolerance / sqrt(atoms still in the region)
         segments = []
@@ -337,16 +342,27 @@ class TestEnsemble:
             assert rtol == pytest.approx(1e-9 / np.sqrt(m), rel=1e-15)
             assert atol == pytest.approx(1e-12 / np.sqrt(m), rel=1e-15)
 
-    def test_kicks_and_single_atoms_run_alone(self):
+    def test_small_groups_and_kicks_run_alone(self, monkeypatch):
+        # below 6 atoms, where batching was measured slower, or with
+        # kicks, the group is the per-atom loop, bit for bit; from 6 atoms
+        # up it is one system
         field = eject_field()
-        pos, vel = self.members(n_b=3, n_a=0)["b"]
-        for config, seeds in (
-                (EjectConfig(duration=60e-6, include_recoil_kicks=True),
-                 [11, 12, 13]),
-                (EjectConfig(duration=60e-6), None)):
-            count = 3 if config.include_recoil_kicks else 1
+        n = 6
+        pos, vel = self.members(n_b=n, n_a=0)["b"]
+        sizes = []
+        solve_ivp = ejection.solve_ivp
+
+        def spy(fun, t_span, y0, **kwargs):
+            sizes.append(len(y0) // 7)
+            return solve_ivp(fun, t_span, y0, **kwargs)
+        monkeypatch.setattr(ejection, "solve_ivp", spy)
+        for config, count, seeds in (
+                (EjectConfig(duration=60e-6, include_recoil_kicks=True), n,
+                 list(range(11, 11 + n))),
+                (EjectConfig(duration=60e-6), n - 1, None)):
             together = simulate_ensemble(pos[:count], vel[:count], field,
                                          "b", config, seeds=seeds)
+            assert set(sizes) == {1}
             for i, tr in enumerate(together):
                 alone = simulate_trajectory(
                     (pos[i], vel[i]), field, "b", config,
@@ -354,8 +370,11 @@ class TestEnsemble:
                 np.testing.assert_array_equal(tr.times, alone.times)
                 np.testing.assert_array_equal(tr.positions, alone.positions)
                 assert tr.photons_sampled == alone.photons_sampled
+        sizes.clear()
+        simulate_ensemble(pos, vel, field, "b", EjectConfig(duration=60e-6))
+        assert sizes[0] == n
 
-    def test_failed_step_raises(self, monkeypatch):
+    def test_failed_step_raises(self, monkeypatch, batch_from_two):
         monkeypatch.setattr(ejection, "solve_ivp", failed_step)
         pos, vel = self.members(n_b=2, n_a=0)["b"]
         with pytest.raises(IntegrationError, match="Required step size"):
