@@ -67,6 +67,7 @@ class TrajectoryResult:
     positions: np.ndarray               # (n, 3)
     velocities: np.ndarray              # (n, 3)
     photons_expected: np.ndarray        # running integral of the rate
+    photon_rates: np.ndarray            # the rate, 1/s
     photons_sampled: int = None         # kicks applied, kicks only
     escaped: bool = False               # |r| > 3 w_FORT, E > 0
     escape_time: float = None
@@ -79,7 +80,14 @@ class TrajectoryResult:
         return float(self.photons_expected[-1])
 
     def photons_expected_at(self, t):
-        return float(np.interp(t, self.times, self.photons_expected))
+        """The photon integral at time t, held past the ends, on the cubic
+        Hermite interpolant with the rates as its slopes."""
+        times, photons, rates = (self.times, self.photons_expected,
+                                 self.photon_rates)
+        t = min(max(t, times[0]), times[-1])
+        i = max(1, int(np.searchsorted(times, t)))
+        return float(_hermite(times[i - 1], times[i], photons[i - 1],
+                              photons[i], rates[i - 1], rates[i])(t))
 
 
 def characteristic_eject_time(net_acceleration, w_fort):
@@ -295,7 +303,7 @@ def _trajectory_result(times, states, kicks, field_, state, config,
     arrive_v = states[:, 3:6].copy()
     for i, v in kicks:
         arrive_v[i] = v
-    potential, force, _ = field_.evaluate(states[:, :3], state)
+    potential, force, rate = field_.evaluate(states[:, :3], state)
     accel = force / mass + _gravity(config)
 
     def crossing(*tests):
@@ -345,12 +353,13 @@ def _trajectory_result(times, states, kicks, field_, state, config,
     if len(times) > n_samples:
         idx = np.unique(np.linspace(0, len(times) - 1,
                                     n_samples).astype(int))
-        times, states = times[idx], states[idx]
+        times, states, rate = times[idx], states[idx], rate[idx]
     result = TrajectoryResult(
         times=times,
         positions=states[:, :3],
         velocities=states[:, 3:6],
         photons_expected=states[:, 6],
+        photon_rates=rate,
         truncated=truncated,
     )
     if escape is not None:

@@ -127,7 +127,8 @@ _DIRECTION_BLOCK = 2048     # bounds the (block, N) phase temporaries
 
 def _pattern_values(positions, q_offset, k4, directions):
     """(1/N) |sum_j exp(i q . r_j)|^2 with q = k4 * n_hat - q_offset,
-    as (sum cos)^2 + (sum sin)^2 over blocks of directions."""
+    as (sum cos)^2 + (sum sin)^2 over blocks of directions: the exact
+    evaluator behind the metrics' peak, FWHM cuts and background."""
     dirs = np.asarray(directions, dtype=float)
     flat = dirs.reshape(-1, 3)
     vals = np.empty(len(flat))
@@ -281,81 +282,69 @@ def _fwhm_cuts(evaluator, n, e1, e2, half_level, step, max_angle=1.5):
     return float(cross[0] + cross[1]), float(cross[2] + cross[3])
 
 
-def _spherical_jn(l_max, x):
-    """j_0 .. j_l_max at each x >= 0 of a 1-D array, shape
-    (l_max + 1, len(x)).
+def _debye_order(x):
+    """Order past which j_l(x) and J_l(x) are below 1e-16 (Debye's
+    asymptotics)."""
+    return int(x + 12 * np.cbrt(x)) + 10
 
-    Miller's downward recurrence, started for each x at
-    x + 12 x^(1/3) + 30, where j_l(x) is negligible (Debye's
-    asymptotics), and normalised by sum_l (2l + 1) j_l^2 = 1, which
-    holds at every x (j_0 alone vanishes at x = n pi). The sign comes
-    from j_0 and j_1, which never vanish together.
+
+def _sphere_integral(positions, q_offset, k4):
+    """Integral of (1/N) |sum_j exp(i q . r_j)|^2 over all directions,
+    (4 pi / N) sum_{j,k} cos(q_offset . d) j_0(k4 d) with d = r_j - r_k.
+    Rows of pairs go in blocks, elementwise."""
+    n = len(positions)
+    rows = max(1, _DIRECTION_BLOCK // n)
+    total = 0.0
+    for s in range(0, n, rows):
+        dx, dy, dz = (c[s:s + rows, None] - c for c in positions.T)
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        phase = q_offset[0] * dx + q_offset[1] * dy + q_offset[2] * dz
+        total += np.sum(np.cos(phase) * np.sinc(k4 / np.pi * dist))
+    return 4 * np.pi / n * total
+
+
+def _cap_integral(positions, q_offset, k4, axis, cap):
+    """Integral of (1/N) |sum_j exp(i q . r_j)|^2 over directions within
+    `cap` <= pi / 2 rad of `axis`: Gauss-Legendre in u = cos(alpha), alpha the
+    angle from the axis, times the trapezoid rule in azimuth, on the
+    exact `_pattern_values`.
+
+    Each pair adds exp(i k4 n_hat . d), k4 |d| <= x for the cloud's
+    extent. On the circle at alpha its azimuthal modes are
+    J_m(<= x sin alpha): a trapezoid rule past their Debye order is exact
+    to rounding. Their mean, mapped from [cos cap, 1] onto t in [-1, 1],
+    swings no faster than exp(i x sin(cap / 2) t) (near the axis it goes
+    as J_0(k4 |d| alpha), alpha^2 ~ 2 (1 - u)), and Gauss-Legendre of
+    degree past the Debye order of that integrates it to rounding.
     """
-    # j_l(1e-100) is j_l(0) to double precision, and the recurrence
-    # needs x > 0
-    x = np.maximum(np.asarray(x, dtype=float), 1e-100)
-    start = (x + 12 * np.cbrt(x)).astype(int) + 30
-    j = np.zeros((max(l_max, start.max(initial=0)) + 2, len(x)))
-    j[start, np.arange(len(x))] = 1.0
-    for l in range(len(j) - 2, 0, -1):
-        # adds onto the 1 placed at each start, and onto zeros elsewhere
-        j[l - 1] += (2 * l + 1) / x * j[l] - j[l + 1]
-        big = np.abs(j[l - 1]) > 1e100
-        if big.any():                   # rescale before it overflows
-            j[l - 1:, big] /= np.abs(j[l - 1, big])
-    ell = np.arange(len(j))[:, None]
-    norm = np.sqrt(np.sum((2 * ell + 1) * j ** 2, axis=0))
-    j0, j1 = np.sin(x) / x, np.sin(x) / x ** 2 - np.cos(x) / x
-    sign = np.sign(j[0] * j0 + j[1] * j1)
-    return j[:l_max + 1] * (sign / norm)
-
-
-def _legendre(l_max, x):
-    """P_0 .. P_l_max at x by the upward recurrence, shape
-    (l_max + 1,) + x.shape."""
-    x = np.asarray(x, dtype=float)
-    p = np.ones((l_max + 1,) + x.shape)
-    if l_max:
-        p[1] = x
-    for l in range(1, l_max):
-        p[l + 1] = ((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1)
-    return p
-
-
-_PAIR_BLOCK = 4096      # bounds the (l, pairs) arrays of the background
+    x = 2 * k4 * np.max(np.linalg.norm(positions - positions.mean(axis=0),
+                                       axis=1))
+    half = np.sin(cap / 2) ** 2             # (1 - cos cap) / 2
+    t, w = np.polynomial.legendre.leggauss(
+        _debye_order(x * np.sin(cap / 2)) // 2 + 1)
+    below = half * (1 - t)                  # 1 - u, kept to full precision
+    n_az = _debye_order(x * np.sin(cap)) + 1
+    beta = 2 * np.pi / n_az * np.arange(n_az)
+    m, e1, e2 = _orthonormal_frame(axis)
+    ring = np.cos(beta)[:, None] * e1 + np.sin(beta)[:, None] * e2
+    dirs = ((1 - below)[:, None, None] * m
+            + np.sqrt(below * (2 - below))[:, None, None] * ring)
+    rings = _pattern_values(positions, q_offset, k4, dirs).sum(axis=1)
+    return half * 2 * np.pi / n_az * np.sum(w * rings)
 
 
 def _cap_background(positions, q_offset, k4, peak_dir, cap):
     """Exact solid-angle mean of (1/N) |sum_j exp(i q . r_j)|^2,
     q = k4 n_hat - q_offset, over directions more than `cap` rad from
-    `peak_dir`.
-
-    P = 1 + (2/N) sum_{j<k} Re exp(i q . d), d = r_j - r_k. Expand
-    exp(i k4 n_hat . d) in Legendre terms (Rayleigh),
-    sum_l (2l + 1) i^l j_l(k4 d) P_l(n_hat . d_hat); over the cap about m
-    each term integrates (Funk-Hecke) to
-    2 pi i^l j_l P_l(m . d_hat) (P_{l-1}(c) - P_{l+1}(c)), c = cos(cap),
-    P_{-1} = 1, and over the sphere the sum is 4 pi j_0(k4 d). The
-    remainder over the area 2 pi (1 + c) gives the mean.
-    """
-    c = np.cos(cap)
-    i, k = np.triu_indices(len(positions), 1)
-    cross = 0.0
-    for s in range(0, len(i), _PAIR_BLOCK):
-        d = positions[i[s:s + _PAIR_BLOCK]] - positions[k[s:s + _PAIR_BLOCK]]
-        dist = np.sqrt(np.sum(d * d, axis=1))
-        x = k4 * dist
-        # Debye's asymptotics put j_l(x) below 1e-16 past x + 12 x^(1/3)
-        l_max = int(np.max(x) + 12 * np.cbrt(np.max(x))) + 10
-        pc = _legendre(l_max + 1, c)
-        coef = (np.array([1, 1j, -1, -1j])[np.arange(l_max + 1) % 4]
-                * (np.r_[1.0, pc[:-2]] - pc[1:]))
-        jl = _spherical_jn(l_max, x)
-        cap_sum = coef @ (jl * _legendre(l_max, (d @ peak_dir)
-                                         / np.maximum(dist, 1e-300)))
-        cross += np.sum((np.exp(-1j * (d @ q_offset))
-                         * (4 * np.pi * jl[0] - 2 * np.pi * cap_sum)).real)
-    return 1.0 + 2.0 / len(positions) * cross / (2 * np.pi * (1 + c))
+    `peak_dir`, an area of 2 pi (1 + cos cap). The smaller region is
+    integrated: the whole sphere less the cap, or, past pi / 2, the
+    background itself as the cap of pi - cap about -peak_dir."""
+    area = 4 * np.pi * np.cos(cap / 2) ** 2
+    if cap > np.pi / 2:
+        return _cap_integral(positions, q_offset, k4, -peak_dir,
+                             np.pi - cap) / area
+    return (_sphere_integral(positions, q_offset, k4)
+            - _cap_integral(positions, q_offset, k4, peak_dir, cap)) / area
 
 
 def pattern_metrics(pattern, grid_spacing=None):
@@ -367,11 +356,12 @@ def pattern_metrics(pattern, grid_spacing=None):
     evaluator on shrinking tangent grids; a coarser seed takes one wider
     step first, so every refinement ends at the same step. Each FWHM cut
     bisects its half-max crossings on the evaluator (`_fwhm_cuts`). The
-    background is the exact solid-angle mean more than 3 FWHM from the
-    peak (`_cap_background`), so patterns without that closed form (the
-    jittered mean) are rejected. Errors out if `grid_spacing` gives
-    fewer than 8 points across the measured FWHM, or if the lobe is so
-    wide (3 FWHM >= pi) that no background direction is left.
+    background is the solid-angle mean more than 3 FWHM from the peak,
+    from a closed-form sphere integral and a cap quadrature exact to
+    rounding (`_cap_background`), so a pattern with no phase sum (the
+    jittered mean) is rejected. Errors out if `grid_spacing` gives fewer
+    than 8 points across the measured FWHM, or if the lobe is so wide
+    (3 FWHM >= pi) that no background direction is left.
     """
     if pattern.positions is None:
         raise ValueError("pattern carries no phase-sum closed form")

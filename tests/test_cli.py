@@ -401,22 +401,10 @@ class TestCsvWriter:
                 == (tmp_path / "rows.csv").read_bytes())
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(N_values=st.lists(st.integers(1, 12), min_size=1, max_size=2),
-       trials=st.integers(1, 3), grid_points=st.integers(2, 61),
-       diameter=st.floats(0.2, 4.0), tilt=st.floats(-360.0, 360.0),
-       jitter=st.sampled_from([0.0, 0.05]))
-# one run that passes, and one whose second N fails after the first
-# passed, so the success path and the no-partial-output rule both run
-@example(N_values=[8], trials=2, grid_points=61, diameter=1.0, tilt=0.0,
-         jitter=0.05)
-@example(N_values=[8, 1], trials=2, grid_points=61, diameter=1.0,
-         tilt=0.0, jitter=0.0)
-def test_emission_cli_fuzz(N_values, trials, grid_points, diameter, tilt,
-                           jitter):
-    """Tiny emission runs past the config phase keep the exit-code
-    contract: 0, 2 or 3, at most one stderr line, and no --out
-    directory left behind on a failure."""
+def emission_exit(N_values, trials, grid_points, diameter, tilt, jitter):
+    """Exit code of a tiny emission run, checked against the contract:
+    0, 2 or 3, at most one stderr line, and no --out directory left
+    behind on a failure."""
     cfg = {"N_values": N_values, "trials": trials,
            "grid_points": grid_points, "diameter": "%r um" % diameter,
            "tilt_angle": "%r deg" % tilt, "jitter_sigma": "%r um" % jitter}
@@ -439,6 +427,41 @@ def test_emission_cli_fuzz(N_values, trials, grid_points, diameter, tilt,
             assert os.path.exists(os.path.join(out, "emission_metrics.json"))
         else:
             assert not os.path.exists(out)
+    return rc
+
+
+# the widest cap the gate admits: this 0.968 um cloud puts 3 FWHM
+# within 3e-4 rad of pi
+WIDEST_CAP = dict(N_values=[8], trials=1, grid_points=61, diameter=0.968,
+                  tilt=0.0, jitter=0.0)
+PAST_WIDEST_CAP = dict(WIDEST_CAP, diameter=0.9679)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(N_values=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+       trials=st.integers(1, 3), grid_points=st.integers(2, 61),
+       diameter=st.floats(0.2, 4.0), tilt=st.floats(-360.0, 360.0),
+       jitter=st.sampled_from([0.0, 0.05]))
+# one run that passes, and one whose second N fails after the first
+# passed, so the success path and the no-partial-output rule both run
+@example(N_values=[8], trials=2, grid_points=61, diameter=1.0, tilt=0.0,
+         jitter=0.05)
+@example(N_values=[8, 1], trials=2, grid_points=61, diameter=1.0,
+         tilt=0.0, jitter=0.0)
+@example(**WIDEST_CAP)
+@example(**PAST_WIDEST_CAP)
+def test_emission_cli_fuzz(N_values, trials, grid_points, diameter, tilt,
+                           jitter):
+    """Tiny emission runs past the config phase keep the exit-code
+    contract (`emission_exit`)."""
+    emission_exit(N_values, trials, grid_points, diameter, tilt, jitter)
+
+
+def test_emission_widest_cap():
+    # the background of the widest admitted cap is computed (exit 0); a
+    # hair smaller a cloud leaves no background direction (exit 3)
+    assert emission_exit(**WIDEST_CAP) == 0
+    assert emission_exit(**PAST_WIDEST_CAP) == 3
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -390,6 +390,7 @@ class TestCollimationStats:
             positions=np.zeros((11, 3)),
             velocities=np.tile([1.0, 0.0, 0.0], (11, 1)),
             photons_expected=n_scat * times / times[-1],
+            photon_rates=np.full(11, n_scat / times[-1]),
             escaped=True, escape_time=50e-6,
             exit_direction=np.array([1.0, 0.0, 0.0]))
 
@@ -402,6 +403,32 @@ class TestCollimationStats:
                   / (RB87.mass * a * t1))
         assert ratio == pytest.approx(expect, rel=1e-12)
         assert rms == 0.0
+
+    def test_photons_at_t1_independent_of_the_tolerance(self):
+        # n_scat(t1) is read between output points on the Hermite
+        # interpolant with the rate as its slope; read linearly, it moved
+        # by up to 2.6e-3 between these two tolerances
+        field = eject_field()
+        t1 = characteristic_eject_time(
+            field.acceleration(np.zeros(3), "b")[0], 5e-6)
+        pos, vel = sample_thermal_initial(30e-6, 12, 5, 5e-6)
+        photons = []
+        for tol in (1e-9, 1e-12):
+            config = EjectConfig(duration=60e-6, tolerance=tol,
+                                 include_recoil_kicks=False)
+            photons.append([
+                tr.photons_expected_at(t1)
+                for state, group in (("b", slice(0, 6)), ("a", slice(6, 12)))
+                for tr in simulate_ensemble(pos[group], vel[group], field,
+                                            state, config)])
+        np.testing.assert_allclose(photons[0], photons[1], rtol=1e-5)
+
+    def test_photons_held_past_the_record(self):
+        tr = self.synthetic(n_scat=16.0)
+        assert tr.photons_expected_at(-1.0) == 0.0
+        assert tr.photons_expected_at(1.0) == 16.0
+        assert tr.photons_expected_at(25e-6) == pytest.approx(4.0,
+                                                              rel=1e-12)
 
     def test_no_escape(self):
         tr = self.synthetic(1.0)

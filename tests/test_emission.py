@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from rydsources.emission import (AngularPattern, EmissionGeometry,
-                                 GridResolutionError, _cross,
-                                 _dir_from_angles, _orthonormal_frame,
-                                 _pattern_values, _spherical_jn,
+                                 GridResolutionError, _cap_background,
+                                 _cross, _dir_from_angles,
+                                 _orthonormal_frame, _pattern_values,
                                  double_excitation_pattern,
                                  expected_peak_direction, jittered_pattern,
                                  motional_blur, pattern_metrics,
                                  single_photon_pattern)
+from rydsources.blockade import trial_seed
 from rydsources.ensemble import sample_cloud, sample_directions
 from rydsources.species import RB87
 
@@ -317,15 +318,158 @@ def test_cross_matches_numpy_bit_for_bit():
             np.testing.assert_array_equal(got, want)
 
 
+def spherical_jn(l_max, x):
+    """j_0 .. j_l_max at each x >= 0 of a 1-D array, shape
+    (l_max + 1, len(x)).
+
+    Miller's downward recurrence, started for each x at
+    x + 12 x^(1/3) + 30, where j_l(x) is negligible (Debye's
+    asymptotics), and normalised by sum_l (2l + 1) j_l^2 = 1, which
+    holds at every x (j_0 alone vanishes at x = n pi). The sign comes
+    from j_0 and j_1, which never vanish together.
+    """
+    # j_l(1e-100) is j_l(0) to double precision, and the recurrence
+    # needs x > 0
+    x = np.maximum(np.asarray(x, dtype=float), 1e-100)
+    start = (x + 12 * np.cbrt(x)).astype(int) + 30
+    j = np.zeros((max(l_max, start.max(initial=0)) + 2, len(x)))
+    j[start, np.arange(len(x))] = 1.0
+    for l in range(len(j) - 2, 0, -1):
+        # adds onto the 1 placed at each start, and onto zeros elsewhere
+        j[l - 1] += (2 * l + 1) / x * j[l] - j[l + 1]
+        big = np.abs(j[l - 1]) > 1e100
+        if big.any():                   # rescale before it overflows
+            j[l - 1:, big] /= np.abs(j[l - 1, big])
+    ell = np.arange(len(j))[:, None]
+    norm = np.sqrt(np.sum((2 * ell + 1) * j ** 2, axis=0))
+    j0, j1 = np.sin(x) / x, np.sin(x) / x ** 2 - np.cos(x) / x
+    sign = np.sign(j[0] * j0 + j[1] * j1)
+    return j[:l_max + 1] * (sign / norm)
+
+
+def legendre(l_max, x):
+    """P_0 .. P_l_max at x by the upward recurrence, shape
+    (l_max + 1,) + x.shape, and their derivatives by
+    P'_{l+1} = P'_{l-1} + (2l + 1) P_l."""
+    x = np.asarray(x, dtype=float)
+    p, dp = np.ones((l_max + 1,) + x.shape), np.zeros((l_max + 1,) + x.shape)
+    if l_max:
+        p[1], dp[1] = x, 1.0
+    for l in range(1, l_max):
+        p[l + 1] = ((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1)
+        dp[l + 1] = dp[l - 1] + (2 * l + 1) * p[l]
+    return p, dp
+
+
+PAIR_BLOCK = 4096       # bounds the (l, pairs) arrays of funk_hecke_integrals
+
+
+def funk_hecke_integrals(positions, q_offset, k4, axis, cap):
+    """Integrals of (1/N) |sum_j exp(i q . r_j)|^2, q = k4 n_hat -
+    q_offset, over the whole sphere and over the cap of `cap` rad about
+    `axis`, summed over atom pairs: the slow reference for the package's
+    cap quadrature.
+
+    P = 1 + (2/N) sum_{j<k} Re exp(i q . d), d = r_j - r_k. Expand
+    exp(i k4 n_hat . d) in Legendre terms (Rayleigh),
+    sum_l (2l + 1) i^l j_l(k4 d) P_l(n_hat . d_hat); over the cap each
+    term integrates (Funk-Hecke) to
+    2 pi i^l j_l P_l(axis . d_hat) (2l + 1) int_c^1 P_l, c = cos(cap),
+    and over the sphere the sum is 4 pi j_0(k4 d). The weight
+    (2l + 1) int_c^1 P_l = P_{l-1}(c) - P_{l+1}(c) is written as
+    2 sin^2(cap / 2) for l = 0 and (2l + 1) sin^2(cap) P_l'(c) / (l (l + 1))
+    above, which keeps its digits for caps near 0 or pi.
+    """
+    n = len(positions)
+    i, k = np.triu_indices(n, 1)
+    sphere, cap_cross = 0.0, 0.0
+    for s in range(0, len(i), PAIR_BLOCK):
+        d = positions[i[s:s + PAIR_BLOCK]] - positions[k[s:s + PAIR_BLOCK]]
+        dist = np.sqrt(np.sum(d * d, axis=1))
+        x = k4 * dist
+        # Debye's asymptotics put j_l(x) below 1e-16 past x + 12 x^(1/3)
+        l_max = int(np.max(x) + 12 * np.cbrt(np.max(x))) + 10
+        ell = np.arange(1, l_max + 1)
+        weight = np.r_[2 * np.sin(cap / 2) ** 2,
+                       (2 * ell + 1) * np.sin(cap) ** 2
+                       * legendre(l_max, np.cos(cap))[1][1:]
+                       / (ell * (ell + 1))]
+        coef = np.array([1, 1j, -1, -1j])[np.arange(l_max + 1) % 4] * weight
+        jl = spherical_jn(l_max, x)
+        cap_sum = np.einsum("l,lp->p", coef, jl * legendre(
+            l_max, (d @ axis) / np.maximum(dist, 1e-300))[0])
+        phase = np.exp(-1j * (d @ q_offset))
+        sphere += np.sum((phase * jl[0]).real)
+        cap_cross += np.sum((phase * cap_sum).real)
+    return (4 * np.pi * (1 + 2 / n * sphere),
+            2 * np.pi * (2 * np.sin(cap / 2) ** 2 + 2 / n * cap_cross))
+
+
+def funk_hecke_background(positions, q_offset, k4, peak_dir, cap):
+    """The mean outside the cap by funk_hecke_integrals: the sphere less
+    the cap, or, past pi / 2, the cap of pi - cap about -peak_dir, so
+    that no subtraction loses digits."""
+    area = 4 * np.pi * np.cos(cap / 2) ** 2     # 2 pi (1 + cos cap)
+    if cap > np.pi / 2:
+        return funk_hecke_integrals(positions, q_offset, k4, -peak_dir,
+                                    np.pi - cap)[1] / area
+    sphere, cap_integral = funk_hecke_integrals(positions, q_offset, k4,
+                                                peak_dir, cap)
+    return (sphere - cap_integral) / area
+
+
+class TestCapBackground:
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    def test_matches_funk_hecke(self, tilt):
+        # the bundled geometry: D = 5 um, and a cap of 3 FWHM of the
+        # uniform ball's 1.156 lambda / D lobe
+        geo = geometry_for(tilt)
+        peak = expected_peak_direction(geo)[0]
+        cap = 3 * 1.156 * LAMBDA4 / 5e-6
+        for N in (10, 50, 500):
+            positions = sample_cloud(N, 5e-6, seed=N).positions
+            args = (positions, geo.matching_vector, geo.k4_magnitude, peak,
+                    cap)
+            assert _cap_background(*args) == pytest.approx(
+                funk_hecke_background(*args), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    def test_node_counts_over_caps_and_extents(self, tilt):
+        # caps on both sides of pi / 2, where the integrated region
+        # switches, up to a hair below pi, and clouds 1 to 26 lambda wide
+        geo = geometry_for(tilt)
+        peak = expected_peak_direction(geo)[0]
+        for D in (0.9e-6, 5e-6, 20e-6):
+            positions = sample_cloud(20, D, seed=3).positions
+            for cap in (0.05, 0.56, 1.5, np.pi / 2, 1.65, 3.0, np.pi - 1e-3):
+                args = (positions, geo.matching_vector, geo.k4_magnitude,
+                        peak, cap)
+                assert _cap_background(*args) == pytest.approx(
+                    funk_hecke_background(*args), rel=1e-12, abs=0), (D, cap)
+
+    def test_widest_admitted_cap_matches_funk_hecke(self):
+        # the cloud of test_cli's widest-cap emission example: its lobe
+        # puts 3 FWHM within 3e-4 rad of pi, the widest the gate admits
+        cloud = sample_cloud(8, 0.968e-6, trial_seed(12345, 8, 0))
+        geo = EmissionGeometry.tilted(0.0, LAMBDA4)
+        metrics = pattern_metrics(single_photon_pattern(cloud, geo, 61))
+        cap = 3 * metrics.fwhm
+        assert np.pi - 3e-4 < cap < np.pi
+        assert metrics.mean_background == pytest.approx(
+            funk_hecke_background(cloud.positions, geo.matching_vector,
+                                  geo.k4_magnitude, metrics.peak_direction,
+                                  cap), rel=1e-12, abs=0)
+
+
 class TestSphericalBessel:
     def test_matches_scipy(self):
-        # scipy only as the reference; the package computes j_l in numpy
-        from scipy.special import spherical_jn
+        # scipy only as the reference for the reference
+        from scipy.special import spherical_jn as scipy_jn
         x = np.concatenate([np.linspace(0.0, 50.0, 2001),
                             np.pi * np.arange(1, 16), [1e-300, 1e-9]])
         ell = np.arange(81)[:, None]
-        np.testing.assert_allclose(_spherical_jn(80, x),
-                                   spherical_jn(ell, x[None, :]),
+        np.testing.assert_allclose(spherical_jn(80, x),
+                                   scipy_jn(ell, x[None, :]),
                                    rtol=0, atol=1e-13)
 
 
