@@ -67,7 +67,7 @@ class TrajectoryResult:
     positions: np.ndarray               # (n, 3)
     velocities: np.ndarray              # (n, 3)
     photons_expected: np.ndarray        # running integral of the rate
-    photon_rates: np.ndarray            # the rate, 1/s
+    photon_rates: np.ndarray            # the scattering rate, 1/s
     photons_sampled: int = None         # kicks applied, kicks only
     escaped: bool = False               # |r| > 3 w_FORT, E > 0
     escape_time: float = None
