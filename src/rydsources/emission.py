@@ -339,7 +339,7 @@ def _cap_background(positions, q_offset, k4, peak_dir, cap):
     `peak_dir`, an area of 2 pi (1 + cos cap). The smaller region is
     integrated: the whole sphere less the cap, or, past pi / 2, the
     background itself as the cap of pi - cap about -peak_dir."""
-    area = 4 * np.pi * np.cos(cap / 2) ** 2
+    area = 4 * np.pi * np.cos(cap / 2) ** 2  # 2 pi (1 + cos cap), all digits
     if cap > np.pi / 2:
         return _cap_integral(positions, q_offset, k4, -peak_dir,
                              np.pi - cap) / area
