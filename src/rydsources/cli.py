@@ -189,18 +189,24 @@ def run_eject(cfg, out_dir):
                         include_recoil_kicks=cfg["include_recoil_kicks"],
                         gravity=cfg["gravity"],
                         fort_waist=cfg["fort_waist"])
+    counts = {"b": cfg["trajectories"], "a": cfg["trajectories_a"]}
+    # |b> draws its initial states from stream 1 and kicks from 3, |a>
+    # from 2 and 4; both states go in one call, |b> first
+    streams = (("b", 1), ("a", 2))
+    initial = [sample_thermal_initial(
+                   cfg["temperature"], counts[state],
+                   trial_seed(cfg["seed"], stream, 0), cfg["cloud_diameter"],
+                   species=species)
+               for state, stream in streams]
+    everyone = simulate_ensemble(
+        *(np.concatenate(part) for part in zip(*initial)), field,
+        ["b"] * counts["b"] + ["a"] * counts["a"], econf,
+        seeds=[trial_seed(cfg["seed"], stream + 2, i)
+               for state, stream in streams for i in range(counts[state])])
     results = {}
     traj_rows = []
-    for state, count in (("b", cfg["trajectories"]),
-                         ("a", cfg["trajectories_a"])):
-        pos, vel = sample_thermal_initial(
-            cfg["temperature"], count,
-            trial_seed(cfg["seed"], 1 if state == "b" else 2, 0),
-            cfg["cloud_diameter"], species=species)
-        trajs = simulate_ensemble(
-            pos, vel, field, state, econf,
-            seeds=[trial_seed(cfg["seed"], 3 if state == "b" else 4, i)
-                   for i in range(count)])
+    for state, trajs in (("b", everyone[:counts["b"]]),
+                         ("a", everyone[counts["b"]:])):
         if state == "b":
             for i, tr in enumerate(trajs):
                 for t, p, v, ph in zip(tr.times, tr.positions,
@@ -209,8 +215,8 @@ def run_eject(cfg, out_dir):
                                       v[0], v[1], v[2], ph])
         escaped = [tr for tr in trajs if tr.escaped]
         entry = {
-            "trajectories": count,
-            "escape_fraction": len(escaped) / count,
+            "trajectories": len(trajs),
+            "escape_fraction": len(escaped) / len(trajs),
             "median_escape_time": (float(np.median(
                 [tr.escape_time for tr in escaped])) if escaped else None),
             "median_sweep_time": (float(np.median(

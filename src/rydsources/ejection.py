@@ -26,11 +26,15 @@ from .species import RB87
 _G = 9.80665          # m/s^2, standard gravity along -z when enabled
 
 # Smallest kick-free group that runs as one system. A batched field
-# evaluation costs several single-point ones, so small groups run faster
-# atom by atom. Batched over per-atom time of a group on the bundled eject
-# fields (medians over 3-8 thermal draws): |b> 1.23 at 5 atoms, 1.00-1.03
-# at 6, 0.87-0.94 at 8; |a> 0.98 at 5, 0.83-0.85 at 6, 0.67 at 8.
-_MIN_BATCH = 6
+# evaluation costs several single-point ones, and the system takes its
+# slowest member's steps to the end of the run, where an atom run alone
+# stops at its region exit. The worst group is |b> atoms, which leave
+# early, with one trapped |a> atom; the CLI always passes both states.
+# One pass over per-atom time on the bundled eject fields (medians over
+# 4-8 thermal draws): (m - 1) |b> + 1 |a> 1.46 at 6 atoms, 1.23 at 8,
+# 1.03-1.14 at 10, 0.87 at 11, 0.89 at 12; all |b> 0.89 at 6; all |a>
+# 0.74 at 6.
+_MIN_BATCH = 11
 
 
 class NotEjectedError(ValueError):
@@ -120,11 +124,11 @@ def _gravity(config):
     return np.array([0.0, 0.0, -_G if config.gravity else 0.0])
 
 
-def _exit_event(radius, offset=0):
-    """Terminal event: the atom at y[offset:offset + 3] leaves `radius`."""
+def _exit_event(radius, offset=0, terminal=True):
+    """Event: the atom at y[offset:offset + 3] leaves `radius`."""
     def event(t, y):
         return np.linalg.norm(y[offset:offset + 3]) - radius
-    event.terminal = True
+    event.terminal = terminal
     event.direction = 1
     return event
 
@@ -219,61 +223,60 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     return result
 
 
-def simulate_ensemble(positions, velocities, field_, state, config,
+def simulate_ensemble(positions, velocities, field_, states, config,
                       seeds=None, n_samples=400):
-    """Integrate atoms of one state; returns a list of TrajectoryResults.
+    """Integrate atoms; returns a list of TrajectoryResults.
 
-    Without recoil kicks, `_MIN_BATCH` or more atoms are stacked into
-    one DOP853 system: one batched field evaluation per right-hand side,
-    per-atom tolerance (see `_segment`) and one region-exit event per
-    atom. An atom that leaves ends there, and the rest resume at the last
-    full step. With kicks, or for fewer atoms, each atom runs through
-    `simulate_trajectory` with its own seed.
+    `states` is one label per atom, or one label for all. Without recoil
+    kicks, `_MIN_BATCH` or more atoms of either state are stacked into
+    one DOP853 system, run once from 0 to the duration: one batched field
+    evaluation for all of them per right-hand side, per-atom tolerance
+    (see `_segment`) and one region-exit event per atom. An atom's record
+    ends at its exit; its motion after that is integrated and thrown
+    away, which costs less than restarting the others there. With kicks,
+    or for fewer atoms, each atom runs through `simulate_trajectory` with
+    its own seed.
     """
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     m = len(positions)
+    labels = [states] * m if isinstance(states, str) else list(states)
     if config.include_recoil_kicks or m < _MIN_BATCH:
         return [simulate_trajectory(
-                    (positions[i], velocities[i]), field_, state, config,
+                    (positions[i], velocities[i]), field_, labels[i], config,
                     seed=None if seeds is None else seeds[i],
                     n_samples=n_samples)
                 for i in range(m)]
     mass = field_.species.mass
     gravity = _gravity(config)
+    per_atom = np.array(labels)
 
     def rhs(t, y):
         y = y.reshape(-1, 7)
-        _, force, rate = field_.evaluate(y[:, :3], state)
+        _, force, rate = field_.evaluate(y[:, :3], per_atom)
         dy = np.empty_like(y)
         dy[:, :3] = y[:, 3:6]
         dy[:, 3:6] = force / mass + gravity
         dy[:, 6] = rate
         return dy.ravel()
 
-    t, step = 0.0, None
+    events = [_exit_event(config.region_radius, 7 * j, terminal=False)
+              for j in range(m)]
     y0 = np.column_stack((positions, velocities, np.zeros(m)))
-    times, states = [[[t]] for _ in range(m)], [[row[None]] for row in y0]
-    active, y = list(range(m)), y0.ravel()
-    while active and t < config.duration:
-        events = [_exit_event(config.region_radius, 7 * j)
-                  for j in range(len(active))]
-        sol = _segment(rhs, t, y, events, step, config, len(active))
-        ys = sol.y.T[1:].reshape(sol.t.size - 1, len(active), 7)
-        for j, i in enumerate(active):
-            times[i].append(sol.t[1:])
-            states[i].append(ys[:, j])
-        if sol.status != 1:
-            break                   # reached the end
-        # an atom left the region: it ends here, the others go on
-        stay = [j for j, hit in enumerate(sol.t_events) if not hit.size]
-        active = [active[j] for j in stay]
-        t, y = sol.t[-1], sol.y[:, -1].reshape(-1, 7)[stay].ravel()
-        step = _last_full_step(sol, step)
-    return [_trajectory_result(np.concatenate(times[i]),
-                               np.concatenate(states[i]), [], field_, state,
-                               config, n_samples)
-            for i in range(m)]
+    sol = _segment(rhs, 0.0, y0.ravel(), events, None, config, m)
+    ys = sol.y.T.reshape(sol.t.size, m, 7)
+    results = []
+    for j in range(m):
+        times, record = sol.t, ys[:, j]
+        if sol.t_events[j].size:
+            # left the region: the record ends at the crossing
+            end = np.searchsorted(times, sol.t_events[j][0])
+            times = np.append(times[:end], sol.t_events[j][0])
+            record = np.vstack((record[:end],
+                                sol.y_events[j][0][7 * j:7 * j + 7]))
+        results.append(_trajectory_result(times, record, [], field_,
+                                          labels[j], config, n_samples))
+    return results
 
 
 def _hermite(t0, t1, p0, p1, m0, m1):

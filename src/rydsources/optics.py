@@ -160,21 +160,54 @@ class StatePotentialField:
                           *_line_terms(det.for_state(state), self.species))
                          for beam, det in self.beams)
             for state in ("a", "b")})
+        # for a batch, the same constants stacked over the B beams, so one
+        # pass runs on (B, M) arrays: the kernels as (9, B, 1), and per
+        # state hbar Delta / 2 and I_eff as (2, B, 1)
+        object.__setattr__(self, "_stacked_kernel", np.array(
+            [beam._kernel for beam, _ in self.beams]).T[..., None])
+        object.__setattr__(self, "_stacked_lines", {
+            state: np.array([t[1:] for t in terms]).T[..., None]
+            for state, terms in self._terms.items()})
 
     def evaluate(self, r, state):
         """(U in J, F = -grad U in N, scattering rate in 1/s) at r.
 
-        r is a single point (3,) or a batch (..., 3); one pass over each
-        beam's intensity and gradient feeds all three. With
+        r is a single point (3,) with one state label, or a batch (..., 3)
+        with one label for all points or one per point (an array of the
+        batch shape), so atoms of both states share one call. One pass
+        over each beam's intensity and gradient feeds all three. With
         I_eff = I_sat (1 + (2 Delta / Gamma)^2), U = (hbar Delta / 2)
         ln(1 + I / I_eff), dU/dI = (hbar Delta / 2) / (I + I_eff) and
         R = (Gamma / 2) I / (I + I_eff).
         """
-        if state not in self._terms:
-            raise ValueError("state must be 'a' or 'b', got %r" % (state,))
         r = np.asarray(r, dtype=float)
-        # [()] makes a point's 0-d views float64 scalars; arrays pass as is
-        x, y, z = r[..., 0][()], r[..., 1][()], r[..., 2][()]
+        if r.ndim == 1:
+            return self._evaluate_point(r, state)
+        labels = np.asarray(state).ravel()
+        is_b = labels == "b"
+        if not np.all(is_b | (labels == "a")):
+            raise ValueError("states must be 'a' or 'b', got %r" % (state,))
+        half, i_eff = np.where(is_b, self._stacked_lines["b"],
+                               self._stacked_lines["a"])
+        flat = r.reshape(-1, 3)
+        # (B, M) per beam and point. The beams are summed in order, as
+        # the single-point loop sums them, so both give the same bits
+        I, gx, gy, gz = _intensity_terms(self._stacked_kernel, flat[:, 0],
+                                         flat[:, 1], flat[:, 2])
+        inv = 1 / (I + i_eff)
+        dU_dI = half * inv
+        U = (half * np.log1p(I / i_eff)).sum(axis=0)
+        S = (I * inv).sum(axis=0)
+        F = -np.stack([(dU_dI * g).sum(axis=0) for g in (gx, gy, gz)], -1)
+        shape = r.shape[:-1]
+        return (U.reshape(shape), F.reshape(r.shape),
+                self.species.linewidth_Gamma / 2 * S.reshape(shape))
+
+    def _evaluate_point(self, r, state):
+        """evaluate at one point (3,), beam by beam on float64 scalars."""
+        if state not in ("a", "b"):
+            raise ValueError("state must be 'a' or 'b', got %r" % (state,))
+        x, y, z = r
         U = S = Fx = Fy = Fz = 0.0
         for k, half, i_eff in self._terms[state]:
             I, gx, gy, gz = _intensity_terms(k, x, y, z)
@@ -183,9 +216,7 @@ class StatePotentialField:
             S = S + I * inv
             dU_dI = half * inv
             Fx, Fy, Fz = Fx - dU_dI * gx, Fy - dU_dI * gy, Fz - dU_dI * gz
-        F = np.empty(r.shape)
-        F[..., 0], F[..., 1], F[..., 2] = Fx, Fy, Fz
-        return U, F, self.species.linewidth_Gamma / 2 * S
+        return U, np.array([Fx, Fy, Fz]), self.species.linewidth_Gamma / 2 * S
 
     def potential(self, r, state):
         """U_state(r) in J."""

@@ -297,58 +297,74 @@ class TestEnsemble:
         return {"b": (pos[:n_b], vel[:n_b]), "a": (pos[n_b:], vel[n_b:])}
 
     def test_members_match_single_runs(self, batch_from_two):
+        # each state as its own system, and both states as one
         field = eject_field()
         config = EjectConfig(duration=300e-6, tolerance=1e-9)
-        ends = []
-        for state, (pos, vel) in self.members().items():
-            together = simulate_ensemble(pos, vel, field, state, config)
-            assert len(together) == len(pos)
-            for i, tr in enumerate(together):
-                alone = simulate_trajectory((pos[i], vel[i]), field, state,
-                                            config)
-                assert abs(tr.times[-1] - alone.times[-1]) <= 1e-12
-                assert tr.total_photons_expected == pytest.approx(
-                    alone.total_photons_expected, rel=1e-8)
-                assert tr.truncated == alone.truncated
-                assert tr.escaped == alone.escaped
-                for name in ("escape_time", "sweep_time"):
-                    value, reference = getattr(tr, name), getattr(alone, name)
-                    assert (value is None) == (reference is None), name
-                    if reference is not None:
-                        assert value == pytest.approx(reference, rel=1e-4)
-                if alone.escaped:
-                    np.testing.assert_allclose(tr.exit_direction,
-                                               alone.exit_direction,
-                                               atol=1e-4)
-                ends.append(tr.times[-1] < config.duration)
+        groups = self.members()
+        pos, vel = (np.concatenate(parts) for parts in zip(*groups.values()))
+        states = [s for s, (p, _) in groups.items() for _ in p]
+        alone = [simulate_trajectory((p, v), field, s, config)
+                 for p, v, s in zip(pos, vel, states)]
+        together = [tr for s, (p, v) in groups.items()
+                    for tr in simulate_ensemble(p, v, field, s, config)]
+        mixed = simulate_ensemble(pos, vel, field, states, config)
+        assert len(together) == len(mixed) == len(pos)
+        for tr, ref in zip(together + mixed, alone + alone):
+            assert abs(tr.times[-1] - ref.times[-1]) <= 1e-12
+            assert tr.total_photons_expected == pytest.approx(
+                ref.total_photons_expected, rel=1e-8)
+            assert tr.truncated == ref.truncated
+            assert tr.escaped == ref.escaped
+            for name in ("escape_time", "sweep_time"):
+                value, reference = getattr(tr, name), getattr(ref, name)
+                assert (value is None) == (reference is None), name
+                if reference is not None:
+                    assert value == pytest.approx(reference, rel=1e-4)
+            if ref.escaped:
+                np.testing.assert_allclose(tr.exit_direction,
+                                           ref.exit_direction, atol=1e-4)
         # members left the region mid-run, and others ran to the end
+        ends = [tr.times[-1] < config.duration for tr in alone]
         assert any(ends) and not all(ends)
 
-    def test_tolerance_per_member(self, monkeypatch, batch_from_two):
-        # the joint error norm squared sums the members' own, so each
-        # segment runs at tolerance / sqrt(atoms still in the region)
-        segments = []
+    def test_tolerance_per_member(self, monkeypatch):
+        # the joint error norm squared sums the members' own, so the one
+        # run over all m atoms, from 0 to the end, is at tolerance /
+        # sqrt(m); an atom that left the region ends its record there
+        calls = []
         solve_ivp = ejection.solve_ivp
 
         def spy(fun, t_span, y0, **kwargs):
-            segments.append((len(y0) // 7, kwargs["rtol"], kwargs["atol"]))
+            calls.append((t_span, len(y0) // 7, kwargs["rtol"],
+                          kwargs["atol"]))
             return solve_ivp(fun, t_span, y0, **kwargs)
         monkeypatch.setattr(ejection, "solve_ivp", spy)
-        pos, vel = self.members(n_b=4, n_a=0)["b"]
-        simulate_ensemble(pos[:3], vel[:3], eject_field(), "b",
-                          EjectConfig(duration=300e-6, tolerance=1e-9))
-        assert [m for m, _, _ in segments] == [3, 2, 1]
-        for m, rtol, atol in segments:
-            assert rtol == pytest.approx(1e-9 / np.sqrt(m), rel=1e-15)
-            assert atol == pytest.approx(1e-12 / np.sqrt(m), rel=1e-15)
+        groups = self.members()
+        pos, vel = (np.concatenate(parts) for parts in zip(*groups.values()))
+        config = EjectConfig(duration=300e-6, tolerance=1e-9)
+        m = len(pos)
+        assert m >= ejection._MIN_BATCH
+        trs = simulate_ensemble(pos, vel, eject_field(),
+                                ["b"] * 11 + ["a"] * 3, config)
+        assert len(calls) == 1
+        (t_span, members, rtol, atol), = calls
+        assert t_span == (0.0, config.duration) and members == m
+        assert rtol == pytest.approx(1e-9 / np.sqrt(m), rel=1e-15)
+        assert atol == pytest.approx(1e-12 / np.sqrt(m), rel=1e-15)
+        exited = [tr for tr in trs if tr.times[-1] < config.duration]
+        assert exited
+        for tr in exited:
+            assert np.linalg.norm(tr.positions[-1]) == pytest.approx(
+                config.region_radius, rel=1e-9)
 
     def test_small_groups_and_kicks_run_alone(self, monkeypatch):
-        # below 6 atoms, where batching was measured slower, or with
-        # kicks, the group is the per-atom loop, bit for bit; from 6 atoms
-        # up it is one system
+        # below `_MIN_BATCH` atoms, where batching was measured slower, or
+        # with kicks, the group is the per-atom loop, bit for bit; from
+        # `_MIN_BATCH` atoms up it is one system
         field = eject_field()
-        n = 6
-        pos, vel = self.members(n_b=n, n_a=0)["b"]
+        n = ejection._MIN_BATCH
+        pos, vel = sample_thermal_initial(30e-6, n, 3, 5e-6)
+        states = ["b"] * (n - 2) + ["a"] * 2
         sizes = []
         solve_ivp = ejection.solve_ivp
 
@@ -361,18 +377,18 @@ class TestEnsemble:
                  list(range(11, 11 + n))),
                 (EjectConfig(duration=60e-6), n - 1, None)):
             together = simulate_ensemble(pos[:count], vel[:count], field,
-                                         "b", config, seeds=seeds)
+                                         states[:count], config, seeds=seeds)
             assert set(sizes) == {1}
             for i, tr in enumerate(together):
                 alone = simulate_trajectory(
-                    (pos[i], vel[i]), field, "b", config,
+                    (pos[i], vel[i]), field, states[i], config,
                     seed=None if seeds is None else seeds[i])
                 np.testing.assert_array_equal(tr.times, alone.times)
                 np.testing.assert_array_equal(tr.positions, alone.positions)
                 assert tr.photons_sampled == alone.photons_sampled
         sizes.clear()
-        simulate_ensemble(pos, vel, field, "b", EjectConfig(duration=60e-6))
-        assert sizes[0] == n
+        simulate_ensemble(pos, vel, field, states, EjectConfig(duration=60e-6))
+        assert sizes == [n]
 
     def test_failed_step_raises(self, monkeypatch, batch_from_two):
         monkeypatch.setattr(ejection, "solve_ivp", failed_step)
@@ -418,9 +434,8 @@ class TestCollimationStats:
                                  include_recoil_kicks=False)
             photons.append([
                 tr.photons_expected_at(t1)
-                for state, group in (("b", slice(0, 6)), ("a", slice(6, 12)))
-                for tr in simulate_ensemble(pos[group], vel[group], field,
-                                            state, config)])
+                for tr in simulate_ensemble(pos, vel, field,
+                                            ["b"] * 6 + ["a"] * 6, config)])
         np.testing.assert_allclose(photons[0], photons[1], rtol=1e-5)
 
     def test_photons_held_past_the_record(self):

@@ -279,23 +279,33 @@ class TestStatePotentialField:
             parts += scattering_rate(intensity(beam, r), det.for_state("b"))
         assert total == pytest.approx(parts, rel=1e-12)
 
-    @pytest.mark.parametrize("state", ["a", "b"])
+    @pytest.mark.parametrize("state", ["a", "b", "mixed"])
     def test_batched_evaluate_matches_per_point(self, state):
-        # one pass over (n, 3) points gives the per-point values exactly
+        # one pass over (n, 3) points, with one label for all or one per
+        # point, gives the per-point values exactly
         f = self.field()
-        pts = np.random.default_rng(2).uniform(-15e-6, 15e-6, (200, 3))
-        U, F, R = f.evaluate(pts, state)
+        rng = np.random.default_rng(2)
+        pts = rng.uniform(-15e-6, 15e-6, (200, 3))
+        labels = (rng.choice(["a", "b"], 200) if state == "mixed"
+                  else np.full(200, state))
+        U, F, R = f.evaluate(pts, labels if state == "mixed" else state)
         assert U.shape == R.shape == (200,) and F.shape == (200, 3)
         for i, p in enumerate(pts):
-            assert U[i] == f.potential(p, state)
-            assert np.array_equal(F[i], f.force(p, state))
-            assert R[i] == f.total_scattering_rate(p, state)
-        U2, F2, R2 = f.evaluate(pts.reshape(10, 20, 3), state)
+            assert U[i] == f.potential(p, labels[i])
+            assert np.array_equal(F[i], f.force(p, labels[i]))
+            assert R[i] == f.total_scattering_rate(p, labels[i])
+        U2, F2, R2 = f.evaluate(pts.reshape(10, 20, 3),
+                                labels.reshape(10, 20))
         assert np.array_equal(U2.ravel(), U)
         assert np.array_equal(F2.reshape(200, 3), F)
         assert np.array_equal(R2.ravel(), R)
+        # and the one-state batches' values on its points of each state
+        for s in ("a", "b"):
+            mask = labels == s
+            for part, whole in zip(f.evaluate(pts[mask], s), (U, F, R)):
+                assert np.array_equal(part, whole[mask])
 
-    @pytest.mark.parametrize("state", ["a", "b"])
+    @pytest.mark.parametrize("state", ["a", "b", "mixed"])
     def test_kernel_matches_reference(self, state):
         # tilted axis and off-origin focus; points on every beam's axis
         # (rho^2 = 0), in its focal plane (z = 0) and at its focus
@@ -315,22 +325,35 @@ class TestStatePotentialField:
             pts += [beam.focus_position + t * beam.axis,
                     beam.focus_position + v, beam.focus_position[None]]
         pts = np.concatenate(pts)
+        labels = (rng.choice(["a", "b"], len(pts)) if state == "mixed"
+                  else np.full(len(pts), state))
 
-        def check(r):
-            U, F, R = f.evaluate(r, state)
-            U0, F0, R0 = reference_evaluate(f, r, state)
+        def reference(field, r, labels):
+            """reference_evaluate, point by point on its own label."""
+            r = np.atleast_2d(r)
+            out = [np.empty(len(r)), np.empty(r.shape), np.empty(len(r))]
+            for s in ("a", "b"):
+                mask = np.broadcast_to(labels, len(r)) == s
+                for full, part in zip(out, reference_evaluate(field, r[mask],
+                                                              s)):
+                    full[mask] = part
+            return out
+
+        def check(r, labels):
+            U, F, R = f.evaluate(r, labels)
+            U0, F0, R0 = reference(f, r, labels)
             assert F.shape == np.shape(r)
             # red and blue shifts can cancel: U relative to sum |U_beam|
-            scale = sum(np.abs(reference_evaluate(
-                state_potentials([b]), r, state)[0]) for b in f.beams)
+            scale = sum(np.abs(reference(state_potentials([b]), r,
+                                         labels)[0]) for b in f.beams)
             assert np.all(np.abs(U - U0) <= 1e-12 * scale)
             np.testing.assert_allclose(R, R0, rtol=1e-12, atol=0)
             err = np.linalg.norm(F - F0, axis=-1)
             assert np.all(err <= 1e-12 * np.linalg.norm(F0, axis=-1))
-        check(pts)
-        for p in pts[::50]:
-            check(p)                        # a single (3,) point
-        check(pts[-1])                      # the tilted beam's focus
+        check(pts, labels if state == "mixed" else state)
+        for p, s in zip(pts[::50], labels[::50]):
+            check(p, str(s))                # a single (3,) point
+        check(pts[-1], str(labels[-1]))     # the tilted beam's focus
 
     def test_resonant_field_rejected(self):
         # a zero detuning for either state fails when the field is built
@@ -340,8 +363,12 @@ class TestStatePotentialField:
                 state_potentials([(FORT, det)])
 
     def test_unknown_state_rejected(self):
-        with pytest.raises(ValueError):
-            self.field().evaluate(np.zeros(3), "c")
+        f = self.field()
+        for r, state in ((np.zeros(3), "c"), (np.zeros(3), ["a"]),
+                         (np.zeros((2, 3)), "c"),
+                         (np.zeros((2, 3)), ["a", "c"])):
+            with pytest.raises(ValueError):
+                f.evaluate(r, state)
 
     def test_empty_field_rejected(self):
         with pytest.raises(ValueError):
