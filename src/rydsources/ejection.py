@@ -127,7 +127,8 @@ def _gravity(config):
 def _exit_event(radius, offset=0, terminal=True):
     """Event: the atom at y[offset:offset + 3] leaves `radius`."""
     def event(t, y):
-        return np.linalg.norm(y[offset:offset + 3]) - radius
+        r = y[offset:offset + 3]
+        return np.sqrt(r.dot(r)) - radius          # np.linalg.norm(r)
     event.terminal = terminal
     event.direction = 1
     return event

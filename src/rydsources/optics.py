@@ -185,7 +185,7 @@ class StatePotentialField:
             return self._evaluate_point(r, state)
         labels = np.asarray(state).ravel()
         is_b = labels == "b"
-        if not np.all(is_b | (labels == "a")):
+        if not (is_b | (labels == "a")).all():
             raise ValueError("states must be 'a' or 'b', got %r" % (state,))
         half, i_eff = np.where(is_b, self._stacked_lines["b"],
                                self._stacked_lines["a"])
@@ -196,11 +196,13 @@ class StatePotentialField:
                                          flat[:, 1], flat[:, 2])
         inv = 1 / (I + i_eff)
         dU_dI = half * inv
-        U = (half * np.log1p(I / i_eff)).sum(axis=0)
-        S = (I * inv).sum(axis=0)
-        F = -np.stack([(dU_dI * g).sum(axis=0) for g in (gx, gy, gz)], -1)
+        U = np.add.reduce(half * np.log1p(I / i_eff))
+        S = np.add.reduce(I * inv)
+        F = np.empty(flat.shape)
+        for i, g in enumerate((gx, gy, gz)):
+            np.add.reduce(dU_dI * g, out=F[:, i])
         shape = r.shape[:-1]
-        return (U.reshape(shape), F.reshape(r.shape),
+        return (U.reshape(shape), np.negative(F, out=F).reshape(r.shape),
                 self.species.linewidth_Gamma / 2 * S.reshape(shape))
 
     def _evaluate_point(self, r, state):
