@@ -65,8 +65,9 @@ class GaussianBeam:
 def _intensity_terms(k, x, y, z):
     """I (W/m^2) and grad I (W/m^3), component by component, at (x, y, z).
 
-    `k` is a beam's `_kernel` tuple. Only ufuncs and arithmetic, so one
-    point runs on float64 scalars and a batch on arrays, the same way.
+    `k` is a beam's `_kernel` tuple, or the kernels of B beams stacked as
+    (9, B, 1). Only ufuncs and arithmetic, so one point runs on float64
+    scalars and a batch on (B, M) arrays, the same way.
     """
     fx, fy, fz, ax, ay, az, w02, c, p2 = k
     dx, dy, dz = x - fx, y - fy, z - fz
@@ -181,8 +182,25 @@ class StatePotentialField:
         R = (Gamma / 2) I / (I + I_eff).
         """
         r = np.asarray(r, dtype=float)
-        if r.ndim == 1:
-            return self._evaluate_point(r, state)
+        if r.ndim > 1:
+            return self._evaluate_batch(r, state)
+        if state not in ("a", "b"):
+            raise ValueError("state must be 'a' or 'b', got %r" % (state,))
+        # one point, beam by beam; Python floats until the first ufunc
+        # returns, which rounds as numpy scalars do but runs faster
+        x, y, z = r.tolist()
+        U = S = Fx = Fy = Fz = 0.0
+        for k, half, i_eff in self._terms[state]:
+            I, gx, gy, gz = _intensity_terms(k, x, y, z)
+            inv = 1 / (I + i_eff)
+            U = U + half * np.log1p(I / i_eff)
+            S = S + I * inv
+            dU_dI = half * inv
+            Fx, Fy, Fz = Fx - dU_dI * gx, Fy - dU_dI * gy, Fz - dU_dI * gz
+        return U, np.array([Fx, Fy, Fz]), self.species.linewidth_Gamma / 2 * S
+
+    def _evaluate_batch(self, r, state):
+        """evaluate on an (..., 3) batch, all beams at once."""
         labels = np.asarray(state).ravel()
         is_b = labels == "b"
         if not (is_b | (labels == "a")).all():
@@ -204,21 +222,6 @@ class StatePotentialField:
         shape = r.shape[:-1]
         return (U.reshape(shape), np.negative(F, out=F).reshape(r.shape),
                 self.species.linewidth_Gamma / 2 * S.reshape(shape))
-
-    def _evaluate_point(self, r, state):
-        """evaluate at one point (3,), beam by beam on float64 scalars."""
-        if state not in ("a", "b"):
-            raise ValueError("state must be 'a' or 'b', got %r" % (state,))
-        x, y, z = r
-        U = S = Fx = Fy = Fz = 0.0
-        for k, half, i_eff in self._terms[state]:
-            I, gx, gy, gz = _intensity_terms(k, x, y, z)
-            inv = 1 / (I + i_eff)
-            U = U + half * np.log1p(I / i_eff)
-            S = S + I * inv
-            dU_dI = half * inv
-            Fx, Fy, Fz = Fx - dU_dI * gx, Fy - dU_dI * gy, Fz - dU_dI * gz
-        return U, np.array([Fx, Fy, Fz]), self.species.linewidth_Gamma / 2 * S
 
     def potential(self, r, state):
         """U_state(r) in J."""
