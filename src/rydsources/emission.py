@@ -128,18 +128,12 @@ _DIRECTION_BLOCK = 2048     # bounds the (block, N) phase temporaries
 def _pattern_values(positions, q_offset, k4, directions):
     """(1/N) |sum_j exp(i q . r_j)|^2 with q = k4 * n_hat - q_offset,
     as (sum cos)^2 + (sum sin)^2 over blocks of directions: the exact
-    evaluator behind the metrics' peak, FWHM cuts and background.
-
-    The phases are an einsum, not a matmul: from N in the hundreds a
-    block's matmul is large enough to wake a second OpenBLAS thread,
-    which then spins through the rest of the run."""
+    evaluator behind the metrics' peak, FWHM cuts and background."""
     dirs = np.asarray(directions, dtype=float)
     flat = dirs.reshape(-1, 3)
     vals = np.empty(len(flat))
     for s in range(0, len(flat), _DIRECTION_BLOCK):
-        phases = np.einsum("dk,jk->dj",
-                           k4 * flat[s:s + _DIRECTION_BLOCK] - q_offset,
-                           positions)
+        phases = (k4 * flat[s:s + _DIRECTION_BLOCK] - q_offset) @ positions.T
         vals[s:s + _DIRECTION_BLOCK] = (np.cos(phases).sum(axis=1) ** 2
                                         + np.sin(phases).sum(axis=1) ** 2)
     return vals.reshape(dirs.shape[:-1]) / positions.shape[0]

@@ -165,9 +165,6 @@ class TestSinglePhotonPattern:
             grid_directions(pattern))
         np.testing.assert_allclose(pattern.values, expected, rtol=1e-12,
                                    atol=0)
-        # the exact evaluator, the metrics' and background's, as well
-        np.testing.assert_allclose(pattern.evaluator(grid_directions(pattern)),
-                                   expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("N", [1, 2, 10, 50, 500])
     @pytest.mark.parametrize("tilt", [0.0, 0.3])
