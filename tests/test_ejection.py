@@ -341,11 +341,11 @@ class TestEnsemble:
         monkeypatch.setattr(ejection, "solve_ivp", spy)
         groups = self.members()
         pos, vel = (np.concatenate(parts) for parts in zip(*groups.values()))
+        states = [s for s, (p, _) in groups.items() for _ in p]
         config = EjectConfig(duration=300e-6, tolerance=1e-9)
         m = len(pos)
         assert m >= ejection._MIN_BATCH
-        trs = simulate_ensemble(pos, vel, eject_field(),
-                                ["b"] * 11 + ["a"] * 3, config)
+        trs = simulate_ensemble(pos, vel, eject_field(), states, config)
         assert len(calls) == 1
         (t_span, members, rtol, atol), = calls
         assert t_span == (0.0, config.duration) and members == m
