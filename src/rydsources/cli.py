@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .blockade import (fig1_scan, m_excitation_schedule, trial_seed,
                        IntegrationError, TruncationError)
-from .config import (SCHEMAS, ConfigError, load_config, load_config_file,
+from .config import (SCHEMAS, ConfigError, load_config, read_config_json,
                      species_from_config)
 from .ejection import (EjectConfig, NoEscapeError, NotEjectedError,
                        characteristic_eject_time, collimation_stats,
@@ -45,9 +46,22 @@ def _provenance(subcommand, cfg):
     }
 
 
+def _json_value(value):
+    """`value` with null for every undefined (non-finite) float, which
+    JSON cannot hold; the CSV outputs keep nan."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_value(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -341,25 +355,18 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
+        raw = read_config_json(args.config) if args.config else {}
+        if isinstance(raw, dict):           # load_config rejects the rest
             if not args.strict:
-                with open(args.config) as fh:
-                    raw = json.load(fh)
-                if isinstance(raw, dict):   # load_config rejects the rest
-                    raw = {k: v for k, v in raw.items()
-                           if k in SCHEMAS[args.subcommand]}
-                cfg = load_config(args.subcommand, raw)
-            else:
-                cfg = load_config_file(args.subcommand, args.config)
-        else:
-            cfg = load_config(args.subcommand, {})
-        if args.seed is not None:
-            # checked by the same rule as a seed in the config file
-            cfg["seed"] = load_config(args.subcommand,
-                                      {"seed": args.seed})["seed"]
+                raw = {k: v for k, v in raw.items()
+                       if k in SCHEMAS[args.subcommand]}
+            if args.seed is not None:
+                # checked by the same rule as a seed in the config file
+                raw = {**raw, "seed": args.seed}
+        cfg = load_config(args.subcommand, raw)
         created = not os.path.isdir(args.out)
         os.makedirs(args.out, exist_ok=True)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     try:

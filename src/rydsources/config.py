@@ -175,13 +175,19 @@ def load_config(subcommand, raw):
     return cfg
 
 
-def load_config_file(subcommand, path):
+def read_config_json(path):
+    """The JSON value in a config file, unvalidated. Text that is not
+    UTF-8 JSON, nesting past the recursion limit and integers too long
+    to convert raise ConfigError."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("invalid JSON in %s: %s" % (path, exc)) from None
-    return load_config(subcommand, raw)
+
+
+def load_config_file(subcommand, path):
+    return load_config(subcommand, read_config_json(path))
 
 
 def species_from_config(cfg):

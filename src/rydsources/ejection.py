@@ -134,32 +134,6 @@ def _exit_event(radius, offset=0, terminal=True):
     return event
 
 
-def _segment(rhs, t, y, events, step, config, members=1):
-    """One DOP853 run from t until the end or a terminal event.
-
-    Tolerances are divided by sqrt(members): the joint RMS error norm
-    squared is then the sum of the members' own, so each member meets
-    the tolerance it would have alone.
-    """
-    tol = config.tolerance / np.sqrt(members)
-    sol = solve_ivp(rhs, (t, config.duration), y, method="DOP853",
-                    rtol=tol, atol=tol * 1e-3, events=events,
-                    max_step=config.duration - t,
-                    first_step=(None if step is None
-                                else min(step, config.duration - t)))
-    if sol.status == -1:
-        raise IntegrationError(
-            "trajectory integration failed: %s (t reached %.3e of "
-            "%.3e s)" % (sol.message, sol.t[-1], config.duration))
-    return sol
-
-
-def _last_full_step(sol, step):
-    """The last full accepted step, to resume at rather than ramp up from
-    scratch; a stop inside the first step keeps the step it started with."""
-    return sol.t[-2] - sol.t[-3] if sol.t.size > 2 else step
-
-
 def simulate_trajectory(initial, field_, state, config, seed=None,
                         n_samples=400):
     """Integrate one atom; returns a TrajectoryResult.
@@ -169,23 +143,58 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     impulse along the eject-beam axis plus one isotropic emission kick
     of magnitude hbar k.
     """
-    r0, v0 = (np.asarray(initial[0], dtype=float),
-              np.asarray(initial[1], dtype=float))
+    return simulate_ensemble([initial[0]], [initial[1]], field_, state,
+                             config, [seed], n_samples)[0]
+
+
+def simulate_ensemble(positions, velocities, field_, states, config,
+                      seeds=None, n_samples=400):
+    """Integrate atoms; returns a list of TrajectoryResults.
+
+    `states` is one label per atom, or one label for all. One atom, or
+    `_MIN_BATCH` or more without recoil kicks, run as one DOP853 system
+    with one batched field evaluation per right-hand side, per-atom
+    tolerance and one region-exit event per atom. A group runs from 0
+    to the duration; a member's record ends at its exit, and its motion
+    after that is integrated and thrown away, which costs less than
+    restarting the others there. Other groups run atom by atom through
+    `simulate_trajectory`, each with its own seed.
+    """
+    positions = np.asarray(positions, dtype=float)
+    velocities = np.asarray(velocities, dtype=float)
+    m = len(positions)
+    labels = [states] * m if isinstance(states, str) else list(states)
+    if m != 1 and (config.include_recoil_kicks or m < _MIN_BATCH):
+        return [simulate_trajectory(
+                    (positions[i], velocities[i]), field_, labels[i], config,
+                    seed=None if seeds is None else seeds[i],
+                    n_samples=n_samples)
+                for i in range(m)]
     mass = field_.species.mass
     gravity = _gravity(config)
+    # one atom takes the single-point field path, several times cheaper
+    atoms, label = ((0, labels[0]) if m == 1
+                    else (slice(None), np.array(labels)))
 
     def rhs(t, y):
-        _, force, rate = field_.evaluate(y[:3], state)
-        return np.concatenate((y[3:6], force / mass + gravity, (rate,)))
+        y = y.reshape(-1, 7)
+        _, force, rate = field_.evaluate(y[atoms, :3], label)
+        dy = np.empty_like(y)
+        dy[:, :3] = y[:, 3:6]
+        dy[:, 3:6] = force / mass + gravity
+        dy[:, 6] = rate
+        return dy.ravel()
 
-    events = [_exit_event(config.region_radius)]
+    events = [_exit_event(config.region_radius, 7 * j, terminal=m == 1)
+              for j in range(m)]
     photons_sampled = None
-    if config.include_recoil_kicks:
-        if seed is None:
+    if config.include_recoil_kicks:               # one atom only
+        if seeds is None or seeds[0] is None:
             raise ValueError("recoil kicks require a seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seeds[0])
         peak_rates = [scattering_rate(beam.peak_intensity,
-                                      det.for_state(state), field_.species)
+                                      det.for_state(labels[0]),
+                                      field_.species)
                       for beam, det in field_.beams]
         # the dominant scattering beam gives the absorbed-photon direction
         eject_beam = field_.beams[int(np.argmax(peak_rates))][0]
@@ -199,84 +208,53 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
         kick_event.direction = 1
         events.append(kick_event)
 
+    # Tolerances are divided by sqrt(m): the joint RMS error norm squared
+    # is then the sum of the members' own, so each member meets the
+    # tolerance it would have alone.
+    tol = config.tolerance / np.sqrt(m)
     t, step = 0.0, None
-    y = np.concatenate([r0, v0, [0.0]])
-    times, states = [[t]], [[y]]
-    kicks, recorded = [], 1
+    y = np.column_stack((positions, velocities, np.zeros(m))).ravel()
+    times, rows = [[t]], [[y]]
+    kicks = []
     while t < config.duration:
-        sol = _segment(rhs, t, y, events, step, config)
+        # scipy rejects a first step longer than the span
+        sol = solve_ivp(rhs, (t, config.duration), y, method="DOP853",
+                        rtol=tol, atol=tol * 1e-3, events=events,
+                        first_step=(None if step is None
+                                    else min(step, config.duration - t)))
+        if sol.status == -1:
+            raise IntegrationError(
+                "trajectory integration failed: %s (t reached %.3e of "
+                "%.3e s)" % (sol.message, sol.t[-1], config.duration))
         times.append(sol.t[1:])
-        states.append(sol.y.T[1:])
-        recorded += sol.t.size - 1
+        rows.append(sol.y.T[1:])
         if sol.status != 1 or sol.t_events[0].size:
             break                   # reached the end or left the region
-        # the photon integral crossed its Exp(1) draw: one scattering event
+        # the photon integral crossed its Exp(1) draw: one scattering
+        # event. Resume at the last full accepted step rather than ramp up
+        # from scratch; a stop inside the first step keeps its step.
         t, y = sol.t[-1], sol.y[:, -1].copy()
-        step = _last_full_step(sol, step)
-        kicks.append((recorded - 1, y[3:6].copy()))
+        step = sol.t[-2] - sol.t[-3] if sol.t.size > 2 else step
+        kicks.append((sum(map(len, times)) - 1, y[3:6].copy()))
         y[3:6] += hk * eject_beam.axis + hk * sample_directions(rng, 1)[0]
-        states[-1][-1] = y
+        rows[-1][-1] = y
         photons_sampled += 1
         next_kick = y[6] + rng.exponential()
-    result = _trajectory_result(np.concatenate(times), np.concatenate(states),
-                                kicks, field_, state, config, n_samples)
-    result.photons_sampled = photons_sampled
-    return result
-
-
-def simulate_ensemble(positions, velocities, field_, states, config,
-                      seeds=None, n_samples=400):
-    """Integrate atoms; returns a list of TrajectoryResults.
-
-    `states` is one label per atom, or one label for all. Without recoil
-    kicks, `_MIN_BATCH` or more atoms of either state are stacked into
-    one DOP853 system, run once from 0 to the duration: one batched field
-    evaluation for all of them per right-hand side, per-atom tolerance
-    (see `_segment`) and one region-exit event per atom. An atom's record
-    ends at its exit; its motion after that is integrated and thrown
-    away, which costs less than restarting the others there. With kicks,
-    or for fewer atoms, each atom runs through `simulate_trajectory` with
-    its own seed.
-    """
-    positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    m = len(positions)
-    labels = [states] * m if isinstance(states, str) else list(states)
-    if config.include_recoil_kicks or m < _MIN_BATCH:
-        return [simulate_trajectory(
-                    (positions[i], velocities[i]), field_, labels[i], config,
-                    seed=None if seeds is None else seeds[i],
-                    n_samples=n_samples)
-                for i in range(m)]
-    mass = field_.species.mass
-    gravity = _gravity(config)
-    per_atom = np.array(labels)
-
-    def rhs(t, y):
-        y = y.reshape(-1, 7)
-        _, force, rate = field_.evaluate(y[:, :3], per_atom)
-        dy = np.empty_like(y)
-        dy[:, :3] = y[:, 3:6]
-        dy[:, 3:6] = force / mass + gravity
-        dy[:, 6] = rate
-        return dy.ravel()
-
-    events = [_exit_event(config.region_radius, 7 * j, terminal=False)
-              for j in range(m)]
-    y0 = np.column_stack((positions, velocities, np.zeros(m)))
-    sol = _segment(rhs, 0.0, y0.ravel(), events, None, config, m)
-    ys = sol.y.T.reshape(sol.t.size, m, 7)
+    times = np.concatenate(times)
+    ys = np.concatenate(rows).reshape(times.size, m, 7)
     results = []
     for j in range(m):
-        times, record = sol.t, ys[:, j]
+        t_j, record = times, ys[:, j]
         if sol.t_events[j].size:
             # left the region: the record ends at the crossing
             end = np.searchsorted(times, sol.t_events[j][0])
-            times = np.append(times[:end], sol.t_events[j][0])
+            t_j = np.append(times[:end], sol.t_events[j][0])
             record = np.vstack((record[:end],
                                 sol.y_events[j][0][7 * j:7 * j + 7]))
-        results.append(_trajectory_result(times, record, [], field_,
-                                          labels[j], config, n_samples))
+        result = _trajectory_result(t_j, record, kicks, field_, labels[j],
+                                    config, n_samples)
+        result.photons_sampled = photons_sampled
+        results.append(result)
     return results
 
 

@@ -311,12 +311,19 @@ class TestCliErrors:
         ("eject", ["--seed", "-5"]),
         ("schedule", ["--out", "taken"]),
         ("schedule", ["--config", "root.json", "--no-strict"]),
-    ])
+    ] + [("schedule", ["--config", name] + strict)
+         for name in ("latin1.json", "deep.json", "long.json")
+         for strict in ([], ["--no-strict"])])
     def test_bad_argument_exit_code(self, tmp_path, monkeypatch, capsys,
                                     subcommand, flags):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("")
         (tmp_path / "root.json").write_text("[1]")
+        # not UTF-8, nested past the recursion limit, and an integer past
+        # the 4300 digits Python converts
+        (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xff"}')
+        (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+        (tmp_path / "long.json").write_text('{"seed": %s}' % ("1" * 5000))
         # a later --out overrides the first one
         assert main([subcommand, "--out", "out", "--workers", "1"]
                     + flags) == 2
