@@ -153,12 +153,12 @@ def simulate_ensemble(positions, velocities, field_, states, config,
 
     `states` is one label per atom, or one label for all. One atom, or
     `_MIN_BATCH` or more without recoil kicks, run as one DOP853 system
-    with one batched field evaluation per right-hand side, per-atom
-    tolerance and one region-exit event per atom. A group runs from 0
-    to the duration; a member's record ends at its exit, and its motion
-    after that is integrated and thrown away, which costs less than
-    restarting the others there. Other groups run atom by atom through
-    `simulate_trajectory`, each with its own seed.
+    with one field evaluation for all its atoms per right-hand side,
+    per-atom tolerance and one region-exit event per atom. A group runs
+    from 0 to the duration; a member's record ends at its exit, and its
+    motion after that is integrated and thrown away, which costs less
+    than restarting the others there. Other groups run atom by atom
+    through `simulate_trajectory`, each with its own seed.
     """
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
