@@ -6,8 +6,10 @@ loudly. Parsed configs resolve to SI (angular frequencies in rad/s).
 """
 
 import json
+import math
 import sys
 
+from .ejection import RTOL_FLOOR
 from .species import AtomicSpecies
 from .units import parse_quantity, UnitError
 
@@ -107,6 +109,14 @@ def _check_ranges(cfg):
             raise ConfigError("%s: must be positive, got %r" % (key, value))
     if "m" in cfg and cfg["m"] > cfg["N"]:
         raise ConfigError("m: %d exceeds N = %d" % (cfg["m"], cfg["N"]))
+    if "tolerance" in cfg:
+        # a kick-free run may integrate all its atoms as one system
+        atoms = (1 if cfg["include_recoil_kicks"]
+                 else cfg["trajectories"] + cfg["trajectories_a"])
+        if cfg["tolerance"] / math.sqrt(atoms) < RTOL_FLOOR:
+            raise ConfigError("tolerance: %g / sqrt(%d) is below the "
+                              "integrator's floor %.3g"
+                              % (cfg["tolerance"], atoms, RTOL_FLOOR))
     try:
         species_from_config(cfg)
     except ValueError as exc:

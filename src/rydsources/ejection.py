@@ -36,6 +36,9 @@ _G = 9.80665          # m/s^2, standard gravity along -z when enabled
 # 0.74 at 6.
 _MIN_BATCH = 11
 
+# solve_ivp raises a smaller rtol to this floor, with a warning
+RTOL_FLOOR = 100 * np.finfo(float).eps
+
 
 class NotEjectedError(ValueError):
     """Nonpositive net acceleration: the atom is not ejected."""
@@ -187,7 +190,6 @@ def simulate_ensemble(positions, velocities, field_, states, config,
 
     events = [_exit_event(config.region_radius, 7 * j, terminal=m == 1)
               for j in range(m)]
-    photons_sampled = None
     if config.include_recoil_kicks:               # one atom only
         if seeds is None or seeds[0] is None:
             raise ValueError("recoil kicks require a seed")
@@ -199,7 +201,6 @@ def simulate_ensemble(positions, velocities, field_, states, config,
         # the dominant scattering beam gives the absorbed-photon direction
         eject_beam = field_.beams[int(np.argmax(peak_rates))][0]
         hk = hbar * eject_beam.wavenumber / mass
-        photons_sampled = 0
         next_kick = rng.exponential()
 
         def kick_event(t, y):
@@ -212,10 +213,12 @@ def simulate_ensemble(positions, velocities, field_, states, config,
     # is then the sum of the members' own, so each member meets the
     # tolerance it would have alone.
     tol = config.tolerance / np.sqrt(m)
+    if tol < RTOL_FLOOR:
+        raise ValueError("tolerance %g / sqrt(%d) is below the integrator's "
+                         "floor %.3g" % (config.tolerance, m, RTOL_FLOOR))
     t, step = 0.0, None
     y = np.column_stack((positions, velocities, np.zeros(m))).ravel()
     times, rows = [[t]], [[y]]
-    kicks = []
     while t < config.duration:
         # scipy rejects a first step longer than the span
         sol = solve_ivp(rhs, (t, config.duration), y, method="DOP853",
@@ -231,14 +234,14 @@ def simulate_ensemble(positions, velocities, field_, states, config,
         if sol.status != 1 or sol.t_events[0].size:
             break                   # reached the end or left the region
         # the photon integral crossed its Exp(1) draw: one scattering
-        # event. Resume at the last full accepted step rather than ramp up
-        # from scratch; a stop inside the first step keeps its step.
+        # event, recorded as a second row at the same time. Resume at the
+        # last full accepted step rather than ramp up from scratch; a stop
+        # inside the first step keeps its step.
         t, y = sol.t[-1], sol.y[:, -1].copy()
         step = sol.t[-2] - sol.t[-3] if sol.t.size > 2 else step
-        kicks.append((sum(map(len, times)) - 1, y[3:6].copy()))
         y[3:6] += hk * eject_beam.axis + hk * sample_directions(rng, 1)[0]
-        rows[-1][-1] = y
-        photons_sampled += 1
+        times.append([t])
+        rows.append([y])
         next_kick = y[6] + rng.exponential()
     times = np.concatenate(times)
     ys = np.concatenate(rows).reshape(times.size, m, 7)
@@ -251,10 +254,8 @@ def simulate_ensemble(positions, velocities, field_, states, config,
             t_j = np.append(times[:end], sol.t_events[j][0])
             record = np.vstack((record[:end],
                                 sol.y_events[j][0][7 * j:7 * j + 7]))
-        result = _trajectory_result(t_j, record, kicks, field_, labels[j],
-                                    config, n_samples)
-        result.photons_sampled = photons_sampled
-        results.append(result)
+        results.append(_trajectory_result(t_j, record, field_, labels[j],
+                                          config, n_samples))
     return results
 
 
@@ -270,21 +271,17 @@ def _hermite(t0, t1, p0, p1, m0, m1):
     return at
 
 
-def _trajectory_result(times, states, kicks, field_, state, config,
-                       n_samples):
+def _trajectory_result(times, states, field_, state, config, n_samples):
     """TrajectoryResult from the full record of one atom.
 
-    `kicks` lists (record index, pre-kick velocity). Escape (|r| above
-    the escape radius with E > 0) and sweep (displacement above the FORT
-    waist) are found at their crossings on the full record, then the
-    record is resampled to at most n_samples points, endpoints kept.
+    A recoil kick is two rows at one time, before and after it. Escape
+    (|r| above the escape radius with E > 0) and sweep (displacement
+    above the FORT waist) are found at their crossings on the full
+    record; then each pre-kick row goes and the rest is resampled to at
+    most n_samples points, endpoints kept.
     """
     mass = field_.species.mass
     r0 = states[0, :3]
-    # the velocity each record point is reached with: pre-kick at a kick
-    arrive_v = states[:, 3:6].copy()
-    for i, v in kicks:
-        arrive_v[i] = v
     potential, force, rate = field_.evaluate(states[:, :3], state)
     accel = force / mass + _gravity(config)
 
@@ -292,30 +289,28 @@ def _trajectory_result(times, states, kicks, field_, state, config,
         """Time and velocity where every test(r, v, U) is first positive,
         U the potential at r; None if they never all are.
 
-        A crossing inside the step into record point i is refined on cubic
-        Hermite interpolants of the positions and velocities between point
-        i - 1 and the pre-kick state at point i, as the root of the lowest
-        test not yet positive at point i - 1. Tests already positive there
-        stay out: the escape tests differ in units by many decades, and a
-        minimum over both would leave brentq bisecting. One made by a kick,
-        or true from the start, is read at the point.
+        A crossing inside the step into row i is refined on cubic Hermite
+        interpolants of the positions and velocities between rows i - 1
+        and i, as the root of the lowest test not yet positive at row
+        i - 1. Tests already positive there stay out: the escape tests
+        differ in units by many decades, and a minimum over both would
+        leave brentq bisecting. One true from the start, or made by a kick
+        (a row at the previous row's time), is read at the row.
         """
-        leave = np.array([g(states[:, :3], states[:, 3:6], potential)
-                          for g in tests]) > 0
-        arrive = np.array([g(states[:, :3], arrive_v, potential)
+        passed = np.array([g(states[:, :3], states[:, 3:6], potential)
                            for g in tests]) > 0
-        hits = np.flatnonzero(leave.all(axis=0) | arrive.all(axis=0))
+        hits = np.flatnonzero(passed.all(axis=0))
         if not hits.size:
             return None
         i = int(hits[0])
-        if i == 0 or not arrive[:, i].all():
+        if i == 0 or times[i] == times[i - 1]:
             return times[i], states[i, 3:6]
         t0, t1 = times[i - 1], times[i]
         r = _hermite(t0, t1, states[i - 1, :3], states[i, :3],
-                     states[i - 1, 3:6], arrive_v[i])
-        v = _hermite(t0, t1, states[i - 1, 3:6], arrive_v[i],
+                     states[i - 1, 3:6], states[i, 3:6])
+        v = _hermite(t0, t1, states[i - 1, 3:6], states[i, 3:6],
                      accel[i - 1], accel[i])
-        pending = [g for g, done in zip(tests, leave[:, i - 1]) if not done]
+        pending = [g for g, done in zip(tests, passed[:, i - 1]) if not done]
 
         def lowest(t):
             rt, vt = r(t), v(t)
@@ -332,16 +327,19 @@ def _trajectory_result(times, states, kicks, field_, state, config,
 
     truncated = bool(np.linalg.norm(states[-1, :3])
                      >= config.region_radius * (1 - 1e-9))
-    if len(times) > n_samples:
-        idx = np.unique(np.linspace(0, len(times) - 1,
-                                    n_samples).astype(int))
-        times, states, rate = times[idx], states[idx], rate[idx]
+    pre_kick = np.flatnonzero(times[1:] == times[:-1])
+    idx = np.delete(np.arange(len(times)), pre_kick)
+    if len(idx) > n_samples:
+        idx = idx[np.unique(np.linspace(0, len(idx) - 1,
+                                        n_samples).astype(int))]
     result = TrajectoryResult(
-        times=times,
-        positions=states[:, :3],
-        velocities=states[:, 3:6],
-        photons_expected=states[:, 6],
-        photon_rates=rate,
+        times=times[idx],
+        positions=states[idx, :3],
+        velocities=states[idx, 3:6],
+        photons_expected=states[idx, 6],
+        photon_rates=rate[idx],
+        photons_sampled=(pre_kick.size if config.include_recoil_kicks
+                         else None),
         truncated=truncated,
     )
     if escape is not None:

@@ -313,7 +313,9 @@ class TestCliErrors:
         ("schedule", ["--config", "root.json", "--no-strict"]),
     ] + [("schedule", ["--config", name] + strict)
          for name in ("latin1.json", "deep.json", "long.json")
-         for strict in ([], ["--no-strict"])])
+         for strict in ([], ["--no-strict"])]
+      + [("eject", ["--config", name])
+         for name in ("tight.json", "tiny.json")])
     def test_bad_argument_exit_code(self, tmp_path, monkeypatch, capsys,
                                     subcommand, flags):
         monkeypatch.chdir(tmp_path)
@@ -324,6 +326,9 @@ class TestCliErrors:
         (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xff"}')
         (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
         (tmp_path / "long.json").write_text('{"seed": %s}' % ("1" * 5000))
+        # tolerances below solve_ivp's rtol floor of 100 eps
+        (tmp_path / "tight.json").write_text('{"tolerance": 1e-14}')
+        (tmp_path / "tiny.json").write_text('{"tolerance": 1e-300}')
         # a later --out overrides the first one
         assert main([subcommand, "--out", "out", "--workers", "1"]
                     + flags) == 2

@@ -166,6 +166,17 @@ class TestTrajectories:
             simulate_trajectory((np.zeros(3), np.zeros(3)), eject_field(),
                                 "b", EjectConfig(duration=50e-6))
 
+    @pytest.mark.parametrize("m, tolerance", [(1, 1e-14), (1, 1e-300),
+                                              (11, 7e-14)])
+    def test_tolerance_below_the_floor_rejected(self, monkeypatch, m,
+                                                tolerance):
+        # solve_ivp would raise rtol = tolerance / sqrt(m) to 100 eps
+        monkeypatch.setattr(ejection, "solve_ivp", failed_step)
+        pos, vel = sample_thermal_initial(30e-6, m, 1, 5e-6)
+        with pytest.raises(ValueError, match="below the integrator"):
+            simulate_ensemble(pos, vel, eject_field(), "b",
+                              EjectConfig(tolerance=tolerance))
+
     def test_output_resampled(self):
         field = eject_field()
         tr = simulate_trajectory((np.zeros(3), np.zeros(3)), field, "b",
@@ -280,6 +291,46 @@ class TestCrossings:
                                  "b", EjectConfig(duration=20e-6))
         assert tr.escaped and tr.escape_time == 0.0
         np.testing.assert_allclose(tr.exit_direction, [1.0, 0.0, 0.0])
+
+
+class TestKickRows:
+    """A kick is two rows at one time: before the kick, then after it."""
+
+    @staticmethod
+    def result(rows):
+        """_trajectory_result on (t, r, v) rows in the dark field, where
+        U, F and the rate are 0 and free motion is the exact path."""
+        times = np.array([row[0] for row in rows])
+        states = np.array([np.concatenate((row[1], row[2], [0.0]))
+                           for row in rows])
+        config = EjectConfig(duration=30e-6, include_recoil_kicks=True)
+        return ejection._trajectory_result(times, states, dark_field(), "b",
+                                           config, n_samples=400)
+
+    def test_escape_made_by_a_kick(self):
+        # at rest outside the escape radius (E = 0), then kicked along y
+        r, v = np.array([20e-6, 0.0, 0.0]), np.array([0.0, 0.01, 0.0])
+        tr = self.result([(0.0, r, np.zeros(3)), (1e-6, r, np.zeros(3)),
+                          (1e-6, r, v), (2e-6, r + 1e-6 * v, v)])
+        assert tr.escaped and tr.escape_time == 1e-6
+        np.testing.assert_array_equal(tr.exit_direction, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(tr.times, [0.0, 1e-6, 2e-6])
+        np.testing.assert_array_equal(tr.velocities[1], v)
+        assert tr.photons_sampled == 1
+
+    def test_crossing_before_a_kick(self):
+        # out along x at 1 m/s, reversed at 10 us and stopped at 20 us:
+        # the sweep past 5 um is at 5 us on the pre-kick slope, and at
+        # 3.4 us if the post-kick velocity were the step's end slope
+        x = np.array([1.0, 0.0, 0.0])
+        tr = self.result([(0.0, 0 * x, x), (10e-6, 10e-6 * x, x),
+                          (10e-6, 10e-6 * x, -x), (20e-6, 0 * x, -x),
+                          (20e-6, 0 * x, 0 * x)])
+        assert tr.sweep_time == pytest.approx(5e-6, rel=1e-6)
+        assert not tr.escaped
+        assert tr.photons_sampled == 2
+        assert np.all(np.diff(tr.times) > 0)
+        np.testing.assert_array_equal(tr.velocities, [x, -x, 0 * x])
 
 
 class TestEnsemble:
