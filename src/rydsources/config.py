@@ -9,7 +9,7 @@ import json
 import math
 import sys
 
-from .ejection import RTOL_FLOOR
+from .ejection import _MIN_BATCH, RTOL_FLOOR
 from .species import AtomicSpecies
 from .units import parse_quantity, UnitError
 
@@ -110,9 +110,10 @@ def _check_ranges(cfg):
     if "m" in cfg and cfg["m"] > cfg["N"]:
         raise ConfigError("m: %d exceeds N = %d" % (cfg["m"], cfg["N"]))
     if "tolerance" in cfg:
-        # a kick-free run may integrate all its atoms as one system
-        atoms = (1 if cfg["include_recoil_kicks"]
-                 else cfg["trajectories"] + cfg["trajectories_a"])
+        # a kick-free run of _MIN_BATCH atoms or more is one system
+        atoms = cfg["trajectories"] + cfg["trajectories_a"]
+        if cfg["include_recoil_kicks"] or atoms < _MIN_BATCH:
+            atoms = 1
         if cfg["tolerance"] / math.sqrt(atoms) < RTOL_FLOOR:
             raise ConfigError("tolerance: %g / sqrt(%d) is below the "
                               "integrator's floor %.3g"

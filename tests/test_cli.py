@@ -112,6 +112,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             load_config("eject", {"tolerance": value})
 
+    @pytest.mark.parametrize("payload, accepted", [
+        ({"tolerance": 3e-14}, True),
+        ({"tolerance": 3e-14, "include_recoil_kicks": False}, False),
+        ({"tolerance": 3e-14, "include_recoil_kicks": False,
+          "trajectories": 4, "trajectories_a": 1}, True),
+    ])
+    def test_tolerance_floor_of_the_integrated_system(self, payload,
+                                                      accepted):
+        # solve_ivp raises an rtol below 100 eps to that floor. A kick-free
+        # run of the default 120 atoms is one system at tolerance /
+        # sqrt(120); 5 atoms run one by one at the tolerance itself
+        if accepted:
+            load_config("eject", payload)
+        else:
+            with pytest.raises(ConfigError, match="integrator's floor"):
+                load_config("eject", payload)
+
     def test_unknown_subcommand(self):
         with pytest.raises(ConfigError):
             load_config("fig3", {})
