@@ -5,7 +5,7 @@ state-selective atom ejection from an optical dipole trap, and
 phased-array directional single-photon emission patterns.
 """
 
-__version__ = "0.8.1"
+__version__ = "0.8.2"
 
 from .species import AtomicSpecies, RB87
 from .ensemble import (AtomCloud, RydbergCoupling, sample_cloud, pair_shift,

@@ -22,9 +22,9 @@ from .blockade import (fig1_scan, m_excitation_schedule, trial_seed,
 from .config import (SCHEMAS, ConfigError, load_config, read_config_json,
                      species_from_config)
 from .ejection import (EjectConfig, NoEscapeError, NotEjectedError,
-                       characteristic_eject_time, collimation_stats,
-                       sample_thermal_initial, scan_fig2,
-                       simulate_ensemble)
+                       ToleranceFloorError, characteristic_eject_time,
+                       collimation_stats, sample_thermal_initial,
+                       scan_fig2, simulate_ensemble)
 from .emission import (EmissionGeometry, GridResolutionError,
                        double_excitation_at, jittered_pattern,
                        pattern_metrics, single_photon_pattern)
@@ -187,17 +187,6 @@ def run_eject(cfg, out_dir):
         for state in ("a", "b")
     }
 
-    prov = _provenance("eject", cfg)
-    halfw = cfg["profile_halfwidth"]
-    profile = scan_fig2(field, (-halfw, 0, 0), (halfw, 0, 0),
-                        cfg["profile_samples"])
-    profile["x"] = profile["x"] - halfw   # signed about the FORT center
-    _write_csv(os.path.join(out_dir, "eject_profile.csv"), prov,
-               ["x", "U_a_over_kB_uK", "U_b_over_kB_uK", "a_a", "a_b"],
-               zip(profile["x"], profile["U_a_over_kB_uK"],
-                   profile["U_b_over_kB_uK"], profile["a_a"],
-                   profile["a_b"]))
-
     econf = EjectConfig(duration=cfg["duration"],
                         tolerance=cfg["tolerance"],
                         include_recoil_kicks=cfg["include_recoil_kicks"],
@@ -250,6 +239,16 @@ def run_eject(cfg, out_dir):
             }
         results[state] = entry
 
+    prov = _provenance("eject", cfg)
+    halfw = cfg["profile_halfwidth"]
+    profile = scan_fig2(field, (-halfw, 0, 0), (halfw, 0, 0),
+                        cfg["profile_samples"])
+    profile["x"] = profile["x"] - halfw   # signed about the FORT center
+    _write_csv(os.path.join(out_dir, "eject_profile.csv"), prov,
+               ["x", "U_a_over_kB_uK", "U_b_over_kB_uK", "a_a", "a_b"],
+               zip(profile["x"], profile["U_a_over_kB_uK"],
+                   profile["U_b_over_kB_uK"], profile["a_a"],
+                   profile["a_b"]))
     _write_csv(os.path.join(out_dir, "trajectories.csv"), prov,
                ["traj", "t", "x", "y", "z", "vx", "vy", "vz",
                 "photons_expected"], traj_rows)
@@ -371,13 +370,13 @@ def main(argv=None):
         return 2
     try:
         return _RUNNERS[args.subcommand](cfg, args.out)
-    except ResonantLightError as exc:
-        # a zero detuning comes from the config
+    except (ResonantLightError, ToleranceFloorError) as exc:
+        # a zero detuning or a tolerance below the floor: config errors
         status, message = 2, "config error: %s" % exc
     except _NUMERICAL_ERRORS as exc:
         status, message = 3, "numerical failure: %s" % exc
-    # outputs already written stay; an --out directory this run made
-    # goes if it is still empty
+    # no subcommand writes before its run has passed; an --out directory
+    # this run made goes if it is still empty
     if created and not os.listdir(args.out):
         os.rmdir(args.out)
     print(message, file=sys.stderr)

@@ -6,10 +6,8 @@ loudly. Parsed configs resolve to SI (angular frequencies in rad/s).
 """
 
 import json
-import math
 import sys
 
-from .ejection import _MIN_BATCH, RTOL_FLOOR
 from .species import AtomicSpecies
 from .units import parse_quantity, UnitError
 
@@ -109,15 +107,6 @@ def _check_ranges(cfg):
             raise ConfigError("%s: must be positive, got %r" % (key, value))
     if "m" in cfg and cfg["m"] > cfg["N"]:
         raise ConfigError("m: %d exceeds N = %d" % (cfg["m"], cfg["N"]))
-    if "tolerance" in cfg:
-        # a kick-free run of _MIN_BATCH atoms or more is one system
-        atoms = cfg["trajectories"] + cfg["trajectories_a"]
-        if cfg["include_recoil_kicks"] or atoms < _MIN_BATCH:
-            atoms = 1
-        if cfg["tolerance"] / math.sqrt(atoms) < RTOL_FLOOR:
-            raise ConfigError("tolerance: %g / sqrt(%d) is below the "
-                              "integrator's floor %.3g"
-                              % (cfg["tolerance"], atoms, RTOL_FLOOR))
     try:
         species_from_config(cfg)
     except ValueError as exc:

@@ -37,7 +37,10 @@ _G = 9.80665          # m/s^2, standard gravity along -z when enabled
 _MIN_BATCH = 11
 
 # solve_ivp raises a smaller rtol to this floor, with a warning
-RTOL_FLOOR = 100 * np.finfo(float).eps
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+
+_REGION_RADIUS = 60e-6      # m, the field region; an atom leaving it stops
+_EXPORT_POINTS = 400        # most points a trajectory is resampled to
 
 
 class NotEjectedError(ValueError):
@@ -46,6 +49,10 @@ class NotEjectedError(ValueError):
 
 class NoEscapeError(RuntimeError):
     """Statistics requested but no trajectory escaped."""
+
+
+class ToleranceFloorError(ValueError):
+    """A tolerance the integrator would silently raise to its floor."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,6 @@ class EjectConfig:
     include_recoil_kicks: bool = False
     gravity: bool = False
     fort_waist: float = 5e-6                       # m, sets escape radius
-    region_radius: float = 60e-6                   # m, field region bound
 
     def __post_init__(self):
         if not self.duration > 0:
@@ -137,8 +143,7 @@ def _exit_event(radius, offset=0, terminal=True):
     return event
 
 
-def simulate_trajectory(initial, field_, state, config, seed=None,
-                        n_samples=400):
+def simulate_trajectory(initial, field_, state, config, seed=None):
     """Integrate one atom; returns a TrajectoryResult.
 
     `initial` is (position, velocity). With recoil kicks enabled, a seed
@@ -147,11 +152,11 @@ def simulate_trajectory(initial, field_, state, config, seed=None,
     of magnitude hbar k.
     """
     return simulate_ensemble([initial[0]], [initial[1]], field_, state,
-                             config, [seed], n_samples)[0]
+                             config, [seed])[0]
 
 
 def simulate_ensemble(positions, velocities, field_, states, config,
-                      seeds=None, n_samples=400):
+                      seeds=None):
     """Integrate atoms; returns a list of TrajectoryResults.
 
     `states` is one label per atom, or one label for all. One atom, or
@@ -161,7 +166,9 @@ def simulate_ensemble(positions, velocities, field_, states, config,
     from 0 to the duration; a member's record ends at its exit, and its
     motion after that is integrated and thrown away, which costs less
     than restarting the others there. Other groups run atom by atom
-    through `simulate_trajectory`, each with its own seed.
+    through `simulate_trajectory`, each with its own seed. A system's
+    tolerance below the integrator's floor raises ToleranceFloorError
+    before it is integrated.
     """
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
@@ -170,8 +177,7 @@ def simulate_ensemble(positions, velocities, field_, states, config,
     if m != 1 and (config.include_recoil_kicks or m < _MIN_BATCH):
         return [simulate_trajectory(
                     (positions[i], velocities[i]), field_, labels[i], config,
-                    seed=None if seeds is None else seeds[i],
-                    n_samples=n_samples)
+                    seed=None if seeds is None else seeds[i])
                 for i in range(m)]
     mass = field_.species.mass
     gravity = _gravity(config)
@@ -188,7 +194,7 @@ def simulate_ensemble(positions, velocities, field_, states, config,
         dy[:, 6] = rate
         return dy.ravel()
 
-    events = [_exit_event(config.region_radius, 7 * j, terminal=m == 1)
+    events = [_exit_event(_REGION_RADIUS, 7 * j, terminal=m == 1)
               for j in range(m)]
     if config.include_recoil_kicks:               # one atom only
         if seeds is None or seeds[0] is None:
@@ -213,9 +219,10 @@ def simulate_ensemble(positions, velocities, field_, states, config,
     # is then the sum of the members' own, so each member meets the
     # tolerance it would have alone.
     tol = config.tolerance / np.sqrt(m)
-    if tol < RTOL_FLOOR:
-        raise ValueError("tolerance %g / sqrt(%d) is below the integrator's "
-                         "floor %.3g" % (config.tolerance, m, RTOL_FLOOR))
+    if tol < _RTOL_FLOOR:
+        raise ToleranceFloorError(
+            "tolerance %g / sqrt(%d) is below the integrator's floor %.3g"
+            % (config.tolerance, m, _RTOL_FLOOR))
     t, step = 0.0, None
     y = np.column_stack((positions, velocities, np.zeros(m))).ravel()
     times, rows = [[t]], [[y]]
@@ -255,7 +262,7 @@ def simulate_ensemble(positions, velocities, field_, states, config,
             record = np.vstack((record[:end],
                                 sol.y_events[j][0][7 * j:7 * j + 7]))
         results.append(_trajectory_result(t_j, record, field_, labels[j],
-                                          config, n_samples))
+                                          config))
     return results
 
 
@@ -271,14 +278,14 @@ def _hermite(t0, t1, p0, p1, m0, m1):
     return at
 
 
-def _trajectory_result(times, states, field_, state, config, n_samples):
+def _trajectory_result(times, states, field_, state, config):
     """TrajectoryResult from the full record of one atom.
 
     A recoil kick is two rows at one time, before and after it. Escape
     (|r| above the escape radius with E > 0) and sweep (displacement
     above the FORT waist) are found at their crossings on the full
     record; then each pre-kick row goes and the rest is resampled to at
-    most n_samples points, endpoints kept.
+    most _EXPORT_POINTS points, endpoints kept.
     """
     mass = field_.species.mass
     r0 = states[0, :3]
@@ -326,12 +333,12 @@ def _trajectory_result(times, states, field_, state, config, n_samples):
                                       - config.fort_waist ** 2))
 
     truncated = bool(np.linalg.norm(states[-1, :3])
-                     >= config.region_radius * (1 - 1e-9))
+                     >= _REGION_RADIUS * (1 - 1e-9))
     pre_kick = np.flatnonzero(times[1:] == times[:-1])
     idx = np.delete(np.arange(len(times)), pre_kick)
-    if len(idx) > n_samples:
+    if len(idx) > _EXPORT_POINTS:
         idx = idx[np.unique(np.linspace(0, len(idx) - 1,
-                                        n_samples).astype(int))]
+                                        _EXPORT_POINTS).astype(int))]
     result = TrajectoryResult(
         times=times[idx],
         positions=states[idx, :3],

@@ -8,7 +8,7 @@ not phase matched at the single-photon peak for tilted geometries.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -77,12 +77,12 @@ class EmissionGeometry:
 class AngularPattern:
     """Emission probability on a (theta, phi_az) spherical grid.
 
-    `evaluator` maps an array of unit directions (..., 3) to pattern
-    values; it is kept alongside the grid so metrics can refine cuts
-    beyond the export resolution. A phase-sum pattern
-    (1/N) |sum_j exp(i (k4 n_hat - q_offset) . r_j)|^2 also carries its
-    `positions`, `q_offset` and `k4`, from which `pattern_metrics`
-    integrates the background exactly; the jittered mean carries none.
+    A phase-sum pattern (1/N) |sum_j exp(i (k4 n_hat - q_offset) . r_j)|^2
+    carries its `evaluator`, which maps an array of unit directions
+    (..., 3) to pattern values, so metrics can refine cuts beyond the
+    export resolution, and its `positions`, `q_offset` and `k4`, from
+    which `pattern_metrics` integrates the background exactly. The
+    jittered mean carries none of the four.
     """
 
     theta: np.ndarray                   # (nt,)
@@ -174,22 +174,15 @@ def _grid_values(positions, q_offset, k4, theta, phi):
     return values / len(positions)
 
 
-def _make_pattern(evaluator, n_theta, n_atoms, **phase_sum):
+def _phase_sum_pattern(positions, q_offset, k4, n_theta):
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2 * np.pi, 2 * n_theta, endpoint=False)
-    if phase_sum:
-        values = _grid_values(theta=theta, phi=phi, **phase_sum)
-    else:
-        values = evaluator(_dir_from_angles(*np.meshgrid(theta, phi,
-                                                         indexing="ij")))
-    return AngularPattern(theta=theta, phi_az=phi, values=values,
-                          n_atoms=n_atoms, evaluator=evaluator, **phase_sum)
-
-
-def _phase_sum_pattern(positions, q_offset, k4, n_theta):
-    return _make_pattern(partial(_pattern_values, positions, q_offset, k4),
-                         n_theta, len(positions), positions=positions,
-                         q_offset=q_offset, k4=k4)
+    return AngularPattern(
+        theta=theta, phi_az=phi,
+        values=_grid_values(positions, q_offset, k4, theta, phi),
+        n_atoms=len(positions),
+        evaluator=partial(_pattern_values, positions, q_offset, k4),
+        positions=positions, q_offset=q_offset, k4=k4)
 
 
 def single_photon_pattern(cloud, geometry, n_theta=181):
@@ -418,17 +411,18 @@ def motional_blur(T, t_prep, species, lambda4=0.78e-6):
 def jittered_pattern(cloud, geometry, sigma, n_theta=181):
     """Exact mean pattern under Gaussian jitter of sigma per axis: the
     Debye-Waller factor exp(-|q|^2 sigma^2) damps the cross terms of
-    P(q) and not its unit self term, so <P> = 1 + exp(...) (P(q) - 1)."""
+    P(q) and not its unit self term, so <P> = 1 + exp(...) (P(q) - 1)
+    on the grid of `single_photon_pattern`. For sigma > 0 the mean has
+    no phase-sum closed form: it carries no evaluator, positions,
+    q_offset or k4, and `pattern_metrics` rejects it."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
+    pattern = single_photon_pattern(cloud, geometry, n_theta)
     if sigma == 0:
-        return single_photon_pattern(cloud, geometry, n_theta)
-    k4, q_offset = geometry.k4_magnitude, geometry.matching_vector
-
-    def evaluator(directions):
-        q = k4 * np.asarray(directions, dtype=float) - q_offset
-        coherent = _pattern_values(cloud.positions, q_offset, k4, directions)
-        return 1 + np.exp(-np.sum(q ** 2, axis=-1) * sigma ** 2) * (
-            coherent - 1)
-
-    return _make_pattern(evaluator, n_theta, cloud.n_atoms)
+        return pattern
+    q = (geometry.k4_magnitude * _dir_from_angles(*np.meshgrid(
+        pattern.theta, pattern.phi_az, indexing="ij"))
+        - geometry.matching_vector)
+    damping = np.exp(-np.sum(q ** 2, axis=-1) * sigma ** 2)
+    return replace(pattern, values=1 + damping * (pattern.values - 1),
+                   evaluator=None, positions=None, q_offset=None, k4=None)

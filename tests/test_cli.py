@@ -112,23 +112,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             load_config("eject", {"tolerance": value})
 
-    @pytest.mark.parametrize("payload, accepted", [
-        ({"tolerance": 3e-14}, True),
-        ({"tolerance": 3e-14, "include_recoil_kicks": False}, False),
-        ({"tolerance": 3e-14, "include_recoil_kicks": False,
-          "trajectories": 4, "trajectories_a": 1}, True),
-    ])
-    def test_tolerance_floor_of_the_integrated_system(self, payload,
-                                                      accepted):
-        # solve_ivp raises an rtol below 100 eps to that floor. A kick-free
-        # run of the default 120 atoms is one system at tolerance /
-        # sqrt(120); 5 atoms run one by one at the tolerance itself
-        if accepted:
-            load_config("eject", payload)
-        else:
-            with pytest.raises(ConfigError, match="integrator's floor"):
-                load_config("eject", payload)
-
     def test_unknown_subcommand(self):
         with pytest.raises(ConfigError):
             load_config("fig3", {})
@@ -332,7 +315,7 @@ class TestCliErrors:
          for name in ("latin1.json", "deep.json", "long.json")
          for strict in ([], ["--no-strict"])]
       + [("eject", ["--config", name])
-         for name in ("tight.json", "tiny.json")])
+         for name in ("tight.json", "tiny.json", "joint.json")])
     def test_bad_argument_exit_code(self, tmp_path, monkeypatch, capsys,
                                     subcommand, flags):
         monkeypatch.chdir(tmp_path)
@@ -343,9 +326,13 @@ class TestCliErrors:
         (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xff"}')
         (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
         (tmp_path / "long.json").write_text('{"seed": %s}' % ("1" * 5000))
-        # tolerances below solve_ivp's rtol floor of 100 eps
+        # tolerances below solve_ivp's rtol floor of 100 eps, the last
+        # as 3e-14 / sqrt(120) for the default 120 atoms run kick-free
+        # as one system
         (tmp_path / "tight.json").write_text('{"tolerance": 1e-14}')
         (tmp_path / "tiny.json").write_text('{"tolerance": 1e-300}')
+        (tmp_path / "joint.json").write_text(
+            '{"tolerance": 3e-14, "include_recoil_kicks": false}')
         # a later --out overrides the first one
         assert main([subcommand, "--out", "out", "--workers", "1"]
                     + flags) == 2
@@ -392,6 +379,7 @@ class TestCliErrors:
         assert err.startswith(
             "numerical failure: trajectory integration failed")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 def per_value_csv_rows(rows):

@@ -7,7 +7,8 @@ from scipy.constants import hbar, k as k_B
 from rydsources import ejection
 from rydsources.blockade import IntegrationError
 from rydsources.ejection import (EjectConfig, NoEscapeError, NotEjectedError,
-                                 TrajectoryResult, characteristic_eject_time,
+                                 ToleranceFloorError, TrajectoryResult,
+                                 characteristic_eject_time,
                                  collimation_stats, sample_thermal_initial,
                                  scan_fig2, simulate_ensemble,
                                  simulate_trajectory)
@@ -151,9 +152,10 @@ class TestTrajectories:
         assert 10 < n1 < 40
         assert tr.total_photons_expected >= n1
 
-    def test_region_truncation(self):
+    def test_region_truncation(self, monkeypatch):
+        monkeypatch.setattr(ejection, "_REGION_RADIUS", 20e-6)
         field = eject_field()
-        config = EjectConfig(duration=300e-6, region_radius=20e-6)
+        config = EjectConfig(duration=300e-6)
         tr = simulate_trajectory((np.zeros(3), np.zeros(3)), field, "b",
                                  config)
         assert tr.truncated
@@ -173,14 +175,33 @@ class TestTrajectories:
         # solve_ivp would raise rtol = tolerance / sqrt(m) to 100 eps
         monkeypatch.setattr(ejection, "solve_ivp", failed_step)
         pos, vel = sample_thermal_initial(30e-6, m, 1, 5e-6)
-        with pytest.raises(ValueError, match="below the integrator"):
+        with pytest.raises(ToleranceFloorError, match="below the integrator"):
             simulate_ensemble(pos, vel, eject_field(), "b",
                               EjectConfig(tolerance=tolerance))
 
-    def test_output_resampled(self):
+    @pytest.mark.parametrize("kicks, n_b, n_a, accepted", [
+        (True, 100, 20, True), (False, 100, 20, False), (False, 4, 1, True),
+    ], ids=["kicks-120", "kick-free-120", "kick-free-5"])
+    def test_tolerance_floor_of_the_integrated_system(self, monkeypatch,
+                                                      kicks, n_b, n_a,
+                                                      accepted):
+        # A kick-free group of 120 atoms is one system at 3e-14 /
+        # sqrt(120), below the floor; kicked atoms and a group of 5 run
+        # one by one at 3e-14 itself, so they reach the integrator
+        monkeypatch.setattr(ejection, "solve_ivp", failed_step)
+        pos, vel = sample_thermal_initial(30e-6, n_b + n_a, 1, 5e-6)
+        config = EjectConfig(tolerance=3e-14, include_recoil_kicks=kicks)
+        with pytest.raises(IntegrationError if accepted
+                           else ToleranceFloorError):
+            simulate_ensemble(pos, vel, eject_field(),
+                              ["b"] * n_b + ["a"] * n_a, config,
+                              seeds=list(range(n_b + n_a)))
+
+    def test_output_resampled(self, monkeypatch):
+        monkeypatch.setattr(ejection, "_EXPORT_POINTS", 50)
         field = eject_field()
         tr = simulate_trajectory((np.zeros(3), np.zeros(3)), field, "b",
-                                 EjectConfig(duration=300e-6), n_samples=50)
+                                 EjectConfig(duration=300e-6))
         assert len(tr.times) <= 50
         assert tr.times[0] == 0.0
 
@@ -305,7 +326,7 @@ class TestKickRows:
                            for row in rows])
         config = EjectConfig(duration=30e-6, include_recoil_kicks=True)
         return ejection._trajectory_result(times, states, dark_field(), "b",
-                                           config, n_samples=400)
+                                           config)
 
     def test_escape_made_by_a_kick(self):
         # at rest outside the escape radius (E = 0), then kicked along y
@@ -406,7 +427,7 @@ class TestEnsemble:
         assert exited
         for tr in exited:
             assert np.linalg.norm(tr.positions[-1]) == pytest.approx(
-                config.region_radius, rel=1e-9)
+                ejection._REGION_RADIUS, rel=1e-9)
 
     def test_small_groups_and_kicks_run_alone(self, monkeypatch):
         # below `_MIN_BATCH` atoms, where batching was measured slower, or

@@ -530,19 +530,22 @@ class TestJitteredPattern:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_closed_form_at_every_grid_point(self):
+        # the damped mirror-pair grid against the damped direct sum, at
+        # the bound the phase-sum grid meets (absolute near nulls)
         cloud = sample_cloud(20, 5e-6, seed=15)
-        geo = EmissionGeometry.tilted(0.3, LAMBDA4)
         sigma = 0.1e-6
-        base = single_photon_pattern(cloud, geo, n_theta=41)
-        jp = jittered_pattern(cloud, geo, sigma, n_theta=41)
-        dirs = grid_directions(base)
-        q = geo.k4_magnitude * dirs - geo.matching_vector
-        expected = 1 + np.exp(-np.sum(q ** 2, axis=-1) * sigma ** 2) * (
-            base.values - 1)
-        np.testing.assert_allclose(jp.values, expected, rtol=1e-12,
-                                   atol=1e-12)
-        # the evaluator behind metrics gives the grid values
-        np.testing.assert_array_equal(jp.evaluator(dirs), jp.values)
+        for tilt in (0.0, 0.3):
+            geo = geometry_for(tilt)
+            jp = jittered_pattern(cloud, geo, sigma, n_theta=41)
+            dirs = grid_directions(jp)
+            q = geo.k4_magnitude * dirs - geo.matching_vector
+            direct = _pattern_values(cloud.positions, geo.matching_vector,
+                                     geo.k4_magnitude, dirs)
+            expected = 1 + np.exp(-np.sum(q ** 2, axis=-1) * sigma ** 2) * (
+                direct - 1)
+            np.testing.assert_allclose(jp.values, expected, rtol=1e-12,
+                                       atol=1e-12)
+            assert jp.evaluator is None and jp.positions is None
 
     @pytest.mark.parametrize("tilt", [0.0, 0.3])
     def test_monte_carlo_converges_to_closed_form(self, tilt):
