@@ -283,7 +283,7 @@ def run_emission(cfg, out_dir):
                 cloud, geometry, grid_points if t == 0
                 else (grid_points + 1) // 2)
             if t == 0:
-                first_cloud, first_pattern = cloud, pattern
+                first_pattern = pattern
             metrics = pattern_metrics(pattern, spacing)
             fwhms.append(metrics.fwhm)
             peaks.append(metrics.peak_value)
@@ -307,9 +307,8 @@ def run_emission(cfg, out_dir):
         })
         if cfg["jitter_sigma"] > 0:
             patterns.append(("pattern_N%d_jittered.csv" % N,
-                             jittered_pattern(first_cloud, geometry,
-                                              cfg["jitter_sigma"],
-                                              grid_points)))
+                             jittered_pattern(first_pattern, geometry,
+                                              cfg["jitter_sigma"])))
     # nothing is written until every trial has passed the gates, so a
     # numerical failure leaves no partial outputs
     for name, pattern in patterns:

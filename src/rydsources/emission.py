@@ -408,16 +408,16 @@ def motional_blur(T, t_prep, species, lambda4=0.78e-6):
     return float(dx), float(dx / lambda4)
 
 
-def jittered_pattern(cloud, geometry, sigma, n_theta=181):
+def jittered_pattern(pattern, geometry, sigma):
     """Exact mean pattern under Gaussian jitter of sigma per axis: the
     Debye-Waller factor exp(-|q|^2 sigma^2) damps the cross terms of
     P(q) and not its unit self term, so <P> = 1 + exp(...) (P(q) - 1)
-    on the grid of `single_photon_pattern`. For sigma > 0 the mean has
-    no phase-sum closed form: it carries no evaluator, positions,
-    q_offset or k4, and `pattern_metrics` rejects it."""
+    on the grid of `pattern`, a `single_photon_pattern` of the cloud in
+    `geometry`. For sigma > 0 the mean has no phase-sum closed form: it
+    carries no evaluator, positions, q_offset or k4, and
+    `pattern_metrics` rejects it."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    pattern = single_photon_pattern(cloud, geometry, n_theta)
     if sigma == 0:
         return pattern
     q = (geometry.k4_magnitude * _dir_from_angles(*np.meshgrid(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rydsources import ejection
+from rydsources import ejection, emission
 from rydsources.cli import _write_csv, _write_pattern_csv, main
 from rydsources.config import (_AT_LEAST, SCHEMAS, ConfigError, load_config,
                                load_config_file, species_from_config)
@@ -225,6 +225,24 @@ class TestCliRuns:
         assert block["double_channel_at_peak_mean"] < 5
         assert (tmp_path / "pattern_N25.csv").exists()
 
+    def test_jittered_emission_builds_one_grid_per_n(self, tmp_path,
+                                                      monkeypatch):
+        # the jittered mean damps trial 0's exported grid; the other
+        # trials take half-resolution grids
+        rows = []
+        grid_values = emission._grid_values
+
+        def spy(positions, q_offset, k4, theta, phi):
+            rows.append(len(theta))
+            return grid_values(positions, q_offset, k4, theta, phi)
+        monkeypatch.setattr(emission, "_grid_values", spy)
+        cfg = write_config(tmp_path, {**SMALL_EMISSION, "N_values": [10, 25],
+                                      "jitter_sigma": "0.1 um"})
+        assert main(["emission", "--config", cfg, "--out",
+                     str(tmp_path)]) == 0
+        assert rows.count(SMALL_EMISSION["grid_points"]) == 2
+        assert (tmp_path / "pattern_N25_jittered.csv").exists()
+
     def test_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         fig1_cfg = write_config(tmp_path, SMALL_FIG1, name="fig1.json")
@@ -315,7 +333,8 @@ class TestCliErrors:
          for name in ("latin1.json", "deep.json", "long.json")
          for strict in ([], ["--no-strict"])]
       + [("eject", ["--config", name])
-         for name in ("tight.json", "tiny.json", "joint.json")])
+         for name in ("tight.json", "tiny.json", "joint.json",
+                      "pair.json")])
     def test_bad_argument_exit_code(self, tmp_path, monkeypatch, capsys,
                                     subcommand, flags):
         monkeypatch.chdir(tmp_path)
@@ -327,12 +346,15 @@ class TestCliErrors:
         (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
         (tmp_path / "long.json").write_text('{"seed": %s}' % ("1" * 5000))
         # tolerances below solve_ivp's rtol floor of 100 eps, the last
-        # as 3e-14 / sqrt(120) for the default 120 atoms run kick-free
-        # as one system
+        # two as 3e-14 / sqrt(m) for m atoms run kick-free as one
+        # system: the default 120, and one |b> with one |a>
         (tmp_path / "tight.json").write_text('{"tolerance": 1e-14}')
         (tmp_path / "tiny.json").write_text('{"tolerance": 1e-300}')
         (tmp_path / "joint.json").write_text(
             '{"tolerance": 3e-14, "include_recoil_kicks": false}')
+        (tmp_path / "pair.json").write_text(json.dumps({
+            "tolerance": 3e-14, "include_recoil_kicks": False,
+            "trajectories": 1, "trajectories_a": 1, "duration": "20 us"}))
         # a later --out overrides the first one
         assert main([subcommand, "--out", "out", "--workers", "1"]
                     + flags) == 2

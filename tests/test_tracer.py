@@ -3,8 +3,8 @@
 perfbench/tracer.py wraps layer functions by module and attribute name
 and raises at install when one is gone, which fails a traced benchmark
 run. Its own self-tests sit outside `testpaths`, so this checks the
-bindings here, on a tiny kicked `eject` run through the CLI, and the
-import-time parse a traced run makes before its first run.
+bindings here, on tiny kicked and kick-free `eject` runs through the
+CLI, and the import-time parse a traced run makes before its first run.
 """
 
 import importlib.util
@@ -28,17 +28,15 @@ def load_perfbench(path):
     return module
 
 
-def test_tracer_binds_every_target(tmp_path):
+def traced_eject(tmp_path, kicks):
+    """A tiny CLI eject of 2 |b> + 1 |a> atoms under the tracer; returns
+    the tracer and the binding sites before the run."""
     tracer = load_perfbench(TRACER)
     sites = tracer.all_binding_sites()
-    spans = {site[0] for site in sites}
-    assert spans == ({target[0] for target in tracer.TARGETS}
-                     | {tracer.SEGMENT[0]})
-
     cfg = tmp_path / "eject.json"
     cfg.write_text(json.dumps({
         "trajectories": 2, "trajectories_a": 1, "duration": "40 us",
-        "include_recoil_kicks": True, "profile_samples": 5}))
+        "include_recoil_kicks": kicks, "profile_samples": 5}))
     tr = tracer.Tracer(run_id="tiny-eject")
     tr.install()
     try:
@@ -47,13 +45,29 @@ def test_tracer_binds_every_target(tmp_path):
     finally:
         tr.uninstall()
     assert rc == 0
+    # every original is back in place
+    assert [site[3] for site in tracer.all_binding_sites()] == [
+        site[3] for site in sites]
+    return tracer, tr
+
+
+def test_tracer_binds_every_target(tmp_path):
+    tracer, tr = traced_eject(tmp_path, kicks=True)
+    spans = {site[0] for site in tracer.all_binding_sites()}
+    assert spans == ({target[0] for target in tracer.TARGETS}
+                     | {tracer.SEGMENT[0]})
     recorded = [span[0] for span in tr.spans]
     assert recorded.count("ejection.simulate_trajectory") == 3
     assert "ejection.segment" in recorded
     assert tr.counters["ejection.trajectories"] == 3
-    # every original is back in place
-    assert [site[3] for site in tracer.all_binding_sites()] == [
-        site[3] for site in sites]
+
+
+def test_kick_free_group_is_one_segment(tmp_path):
+    # the batched path eject-smooth times: both states in one system
+    _, tr = traced_eject(tmp_path, kicks=False)
+    recorded = [span[0] for span in tr.spans]
+    assert recorded.count("ejection.segment") == 1
+    assert "ejection.simulate_trajectory" not in recorded
 
 
 def test_importtime_parse_finds_both_modules():
