@@ -307,7 +307,7 @@ def run_emission(cfg, out_dir):
         })
         if cfg["jitter_sigma"] > 0:
             patterns.append(("pattern_N%d_jittered.csv" % N,
-                             jittered_pattern(first_pattern, geometry,
+                             jittered_pattern(first_pattern,
                                               cfg["jitter_sigma"])))
     # nothing is written until every trial has passed the gates, so a
     # numerical failure leaves no partial outputs

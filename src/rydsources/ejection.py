@@ -25,6 +25,17 @@ from .species import RB87
 
 _G = 9.80665          # m/s^2, standard gravity along -z when enabled
 
+# Smallest kick-free group that runs as one system. A batched field
+# evaluation costs several single-point ones, and the system takes its
+# slowest member's steps to the end of the run, where an atom run alone
+# stops at its region exit. The worst group is |b> atoms, which leave
+# early, with one trapped |a> atom; the CLI always passes both states.
+# One pass over per-atom time on the bundled eject fields (medians over
+# 4-8 thermal draws): (m - 1) |b> + 1 |a> 1.46 at 6 atoms, 1.23 at 8,
+# 1.03-1.14 at 10, 0.87 at 11, 0.89 at 12; all |b> 0.89 at 6; all |a>
+# 0.74 at 6.
+_MIN_BATCH = 11
+
 # solve_ivp raises a smaller rtol to this floor, with a warning
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 
@@ -148,13 +159,13 @@ def simulate_ensemble(positions, velocities, field_, states, config,
                       seeds=None):
     """Integrate atoms; returns a list of TrajectoryResults.
 
-    `states` is one label per atom, or one label for all. Without recoil
-    kicks the atoms, of one state or both, run as one DOP853 system with
-    one field evaluation for all atoms per right-hand side, per-atom
-    tolerance and one region-exit event per atom. A group runs from 0 to
-    the duration; a member's record ends at its exit, and its motion
-    after that is integrated and thrown away, which costs less than
-    restarting the others there. With kicks a group runs atom by atom
+    `states` is one label per atom, or one label for all. One atom, or
+    `_MIN_BATCH` or more without recoil kicks, run as one DOP853 system
+    with one field evaluation for all its atoms per right-hand side,
+    per-atom tolerance and one region-exit event per atom. A group runs
+    from 0 to the duration; a member's record ends at its exit, and its
+    motion after that is integrated and thrown away, which costs less
+    than restarting the others there. Other groups run atom by atom
     through `simulate_trajectory`, each with its own seed. A system's
     tolerance below the integrator's floor raises ToleranceFloorError
     before it is integrated.
@@ -163,7 +174,7 @@ def simulate_ensemble(positions, velocities, field_, states, config,
     velocities = np.asarray(velocities, dtype=float)
     m = len(positions)
     labels = [states] * m if isinstance(states, str) else list(states)
-    if m != 1 and config.include_recoil_kicks:
+    if m != 1 and (config.include_recoil_kicks or m < _MIN_BATCH):
         return [simulate_trajectory(
                     (positions[i], velocities[i]), field_, labels[i], config,
                     seed=None if seeds is None else seeds[i])

@@ -408,21 +408,20 @@ def motional_blur(T, t_prep, species, lambda4=0.78e-6):
     return float(dx), float(dx / lambda4)
 
 
-def jittered_pattern(pattern, geometry, sigma):
+def jittered_pattern(pattern, sigma):
     """Exact mean pattern under Gaussian jitter of sigma per axis: the
     Debye-Waller factor exp(-|q|^2 sigma^2) damps the cross terms of
     P(q) and not its unit self term, so <P> = 1 + exp(...) (P(q) - 1)
-    on the grid of `pattern`, a `single_photon_pattern` of the cloud in
-    `geometry`. For sigma > 0 the mean has no phase-sum closed form: it
-    carries no evaluator, positions, q_offset or k4, and
+    on the grid of `pattern`, a `single_photon_pattern`, with q from its
+    own k4 and q_offset. For sigma > 0 the mean has no phase-sum closed
+    form: it carries no evaluator, positions, q_offset or k4, and
     `pattern_metrics` rejects it."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return pattern
-    q = (geometry.k4_magnitude * _dir_from_angles(*np.meshgrid(
-        pattern.theta, pattern.phi_az, indexing="ij"))
-        - geometry.matching_vector)
+    q = (pattern.k4 * _dir_from_angles(*np.meshgrid(
+        pattern.theta, pattern.phi_az, indexing="ij")) - pattern.q_offset)
     damping = np.exp(-np.sum(q ** 2, axis=-1) * sigma ** 2)
     return replace(pattern, values=1 + damping * (pattern.values - 1),
                    evaluator=None, positions=None, q_offset=None, k4=None)

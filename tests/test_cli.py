@@ -333,8 +333,7 @@ class TestCliErrors:
          for name in ("latin1.json", "deep.json", "long.json")
          for strict in ([], ["--no-strict"])]
       + [("eject", ["--config", name])
-         for name in ("tight.json", "tiny.json", "joint.json",
-                      "pair.json")])
+         for name in ("tight.json", "tiny.json", "joint.json")])
     def test_bad_argument_exit_code(self, tmp_path, monkeypatch, capsys,
                                     subcommand, flags):
         monkeypatch.chdir(tmp_path)
@@ -346,15 +345,12 @@ class TestCliErrors:
         (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
         (tmp_path / "long.json").write_text('{"seed": %s}' % ("1" * 5000))
         # tolerances below solve_ivp's rtol floor of 100 eps, the last
-        # two as 3e-14 / sqrt(m) for m atoms run kick-free as one
-        # system: the default 120, and one |b> with one |a>
+        # as 3e-14 / sqrt(120) for the default 120 atoms run kick-free
+        # as one system
         (tmp_path / "tight.json").write_text('{"tolerance": 1e-14}')
         (tmp_path / "tiny.json").write_text('{"tolerance": 1e-300}')
         (tmp_path / "joint.json").write_text(
             '{"tolerance": 3e-14, "include_recoil_kicks": false}')
-        (tmp_path / "pair.json").write_text(json.dumps({
-            "tolerance": 3e-14, "include_recoil_kicks": False,
-            "trajectories": 1, "trajectories_a": 1, "duration": "20 us"}))
         # a later --out overrides the first one
         assert main([subcommand, "--out", "out", "--workers", "1"]
                     + flags) == 2

@@ -180,16 +180,14 @@ class TestTrajectories:
                               EjectConfig(tolerance=tolerance))
 
     @pytest.mark.parametrize("kicks, n_b, n_a, accepted", [
-        (True, 100, 20, True), (False, 100, 20, False), (False, 4, 1, False),
-        (False, 1, 0, True),
-    ], ids=["kicks-120", "kick-free-120", "kick-free-5", "kick-free-1"])
+        (True, 100, 20, True), (False, 100, 20, False), (False, 4, 1, True),
+    ], ids=["kicks-120", "kick-free-120", "kick-free-5"])
     def test_tolerance_floor_of_the_integrated_system(self, monkeypatch,
                                                       kicks, n_b, n_a,
                                                       accepted):
-        # A kick-free group of m atoms is one system at 3e-14 / sqrt(m),
-        # below the floor for 120 and for 5; kicked atoms run one by one,
-        # and a single atom alone, at 3e-14 itself, so they reach the
-        # integrator
+        # A kick-free group of 120 atoms is one system at 3e-14 /
+        # sqrt(120), below the floor; kicked atoms and a group of 5 run
+        # one by one at 3e-14 itself, so they reach the integrator
         monkeypatch.setattr(ejection, "solve_ivp", failed_step)
         pos, vel = sample_thermal_initial(30e-6, n_b + n_a, 1, 5e-6)
         config = EjectConfig(tolerance=3e-14, include_recoil_kicks=kicks)
@@ -357,6 +355,11 @@ class TestKickRows:
 
 
 class TestEnsemble:
+    @pytest.fixture
+    def batch_from_two(self, monkeypatch):
+        """Stack groups of any size, so small groups test the system."""
+        monkeypatch.setattr(ejection, "_MIN_BATCH", 2)
+
     @staticmethod
     def members(n_b=11, n_a=3):
         pos, vel = sample_thermal_initial(30e-6, n_b + n_a, 3, 5e-6)
@@ -365,7 +368,7 @@ class TestEnsemble:
         pos[n_b - 1] = (0.0, 0.0, 65e-6)
         return {"b": (pos[:n_b], vel[:n_b]), "a": (pos[n_b:], vel[n_b:])}
 
-    def test_members_match_single_runs(self):
+    def test_members_match_single_runs(self, batch_from_two):
         # each state as its own system, and both states as one
         field = eject_field()
         config = EjectConfig(duration=300e-6, tolerance=1e-9)
@@ -413,6 +416,7 @@ class TestEnsemble:
         states = [s for s, (p, _) in groups.items() for _ in p]
         config = EjectConfig(duration=300e-6, tolerance=1e-9)
         m = len(pos)
+        assert m >= ejection._MIN_BATCH
         trs = simulate_ensemble(pos, vel, eject_field(), states, config)
         assert len(calls) == 1
         (t_span, members, rtol, atol), = calls
@@ -425,11 +429,12 @@ class TestEnsemble:
             assert np.linalg.norm(tr.positions[-1]) == pytest.approx(
                 ejection._REGION_RADIUS, rel=1e-9)
 
-    def test_only_kicked_groups_run_alone(self, monkeypatch):
-        # with kicks the group is the per-atom loop, bit for bit; without
-        # them a group of any size is one system
+    def test_small_groups_and_kicks_run_alone(self, monkeypatch):
+        # below `_MIN_BATCH` atoms, where batching was measured slower, or
+        # with kicks, the group is the per-atom loop, bit for bit; from
+        # `_MIN_BATCH` atoms up it is one system
         field = eject_field()
-        n = 11
+        n = ejection._MIN_BATCH
         pos, vel = sample_thermal_initial(30e-6, n, 3, 5e-6)
         states = ["b"] * (n - 2) + ["a"] * 2
         sizes = []
@@ -439,27 +444,25 @@ class TestEnsemble:
             sizes.append(len(y0) // 7)
             return solve_ivp(fun, t_span, y0, **kwargs)
         monkeypatch.setattr(ejection, "solve_ivp", spy)
-        config = EjectConfig(duration=60e-6, include_recoil_kicks=True)
-        seeds = list(range(11, 11 + n))
-        together = simulate_ensemble(pos, vel, field, states, config,
-                                     seeds=seeds)
-        assert set(sizes) == {1}
-        for i, tr in enumerate(together):
-            alone = simulate_trajectory((pos[i], vel[i]), field, states[i],
-                                        config, seed=seeds[i])
-            np.testing.assert_array_equal(tr.times, alone.times)
-            np.testing.assert_array_equal(tr.positions, alone.positions)
-            assert tr.photons_sampled == alone.photons_sampled
-        for m in (2, 5, n):
-            # (m - 1) |b> atoms and one |a> atom
-            pick = np.r_[:m - 1, n - 1]
-            sizes.clear()
-            simulate_ensemble(pos[pick], vel[pick], field,
-                              [states[i] for i in pick],
-                              EjectConfig(duration=60e-6))
-            assert sizes == [m]
+        for config, count, seeds in (
+                (EjectConfig(duration=60e-6, include_recoil_kicks=True), n,
+                 list(range(11, 11 + n))),
+                (EjectConfig(duration=60e-6), n - 1, None)):
+            together = simulate_ensemble(pos[:count], vel[:count], field,
+                                         states[:count], config, seeds=seeds)
+            assert set(sizes) == {1}
+            for i, tr in enumerate(together):
+                alone = simulate_trajectory(
+                    (pos[i], vel[i]), field, states[i], config,
+                    seed=None if seeds is None else seeds[i])
+                np.testing.assert_array_equal(tr.times, alone.times)
+                np.testing.assert_array_equal(tr.positions, alone.positions)
+                assert tr.photons_sampled == alone.photons_sampled
+        sizes.clear()
+        simulate_ensemble(pos, vel, field, states, EjectConfig(duration=60e-6))
+        assert sizes == [n]
 
-    def test_failed_step_raises(self, monkeypatch):
+    def test_failed_step_raises(self, monkeypatch, batch_from_two):
         monkeypatch.setattr(ejection, "solve_ivp", failed_step)
         pos, vel = self.members(n_b=2, n_a=0)["b"]
         with pytest.raises(IntegrationError, match="Required step size"):

@@ -255,7 +255,7 @@ class TestPatternMetrics:
         geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
         with pytest.raises(ValueError, match="closed form"):
             pattern_metrics(jittered_pattern(single_photon_pattern(cloud, geo),
-                                             geo, 0.1e-6))
+                                             0.1e-6))
 
     @pytest.mark.parametrize("tilt", [0.0, 0.3])
     def test_half_resolution_seed_matches_full_grid(self, tilt):
@@ -520,13 +520,13 @@ class TestJitteredPattern:
         cloud = sample_cloud(30, 5e-6, seed=11)
         geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
         base = single_photon_pattern(cloud, geo, n_theta=41)
-        assert jittered_pattern(base, geo, 0.0) is base
+        assert jittered_pattern(base, 0.0) is base
 
     def test_determinism(self):
         cloud = sample_cloud(20, 5e-6, seed=12)
         geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
-        a, b = (jittered_pattern(single_photon_pattern(cloud, geo, 31), geo,
-                                 0.1e-6) for _ in range(2))
+        a, b = (jittered_pattern(single_photon_pattern(cloud, geo, 31), 0.1e-6)
+                for _ in range(2))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_closed_form_at_every_grid_point(self):
@@ -536,8 +536,7 @@ class TestJitteredPattern:
         sigma = 0.1e-6
         for tilt in (0.0, 0.3):
             geo = geometry_for(tilt)
-            jp = jittered_pattern(single_photon_pattern(cloud, geo, 41), geo,
-                                  sigma)
+            jp = jittered_pattern(single_photon_pattern(cloud, geo, 41), sigma)
             dirs = grid_directions(jp)
             q = geo.k4_magnitude * dirs - geo.matching_vector
             direct = _pattern_values(cloud.positions, geo.matching_vector,
@@ -552,8 +551,7 @@ class TestJitteredPattern:
     def test_monte_carlo_converges_to_closed_form(self, tilt):
         cloud = sample_cloud(20, 5e-6, seed=16)
         geo = geometry_for(tilt)
-        jp = jittered_pattern(single_photon_pattern(cloud, geo, 31), geo,
-                              0.1e-6)
+        jp = jittered_pattern(single_photon_pattern(cloud, geo, 31), 0.1e-6)
         mean, stderr = monte_carlo_jitter(cloud, geo, 0.1e-6, 400, seed=5,
                                           n_theta=31)
         assert np.all(np.abs(jp.values - mean) <= 5 * stderr + 1e-9)
@@ -563,7 +561,7 @@ class TestJitteredPattern:
         geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
         base = single_photon_pattern(cloud, geo, n_theta=41)
         sigma = 2e-6
-        jp = jittered_pattern(base, geo, sigma)
+        jp = jittered_pattern(base, sigma)
         # the exactly phase-matched direction has q = 0 and stays at N
         # for any jitter
         np.testing.assert_allclose(jp.values[0], 50.0, rtol=1e-12)
@@ -580,5 +578,4 @@ class TestJitteredPattern:
         cloud = sample_cloud(5, 5e-6, seed=14)
         geo = EmissionGeometry.collinear_degenerate(LAMBDA4)
         with pytest.raises(ValueError):
-            jittered_pattern(single_photon_pattern(cloud, geo, 5), geo,
-                             -1e-9)
+            jittered_pattern(single_photon_pattern(cloud, geo, 5), -1e-9)

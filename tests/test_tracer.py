@@ -3,8 +3,8 @@
 perfbench/tracer.py wraps layer functions by module and attribute name
 and raises at install when one is gone, which fails a traced benchmark
 run. Its own self-tests sit outside `testpaths`, so this checks the
-bindings here, on tiny kicked and kick-free `eject` runs through the
-CLI, and the import-time parse a traced run makes before its first run.
+bindings here, on a tiny kicked `eject` run and a small kick-free one
+through the CLI, and the import-time parse a traced run makes before its first run.
 """
 
 import importlib.util
@@ -14,6 +14,7 @@ import subprocess
 import sys
 
 import rydsources.cli as cli
+from rydsources import ejection
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
@@ -28,14 +29,14 @@ def load_perfbench(path):
     return module
 
 
-def traced_eject(tmp_path, kicks):
-    """A tiny CLI eject of 2 |b> + 1 |a> atoms under the tracer; returns
-    the tracer and the binding sites before the run."""
+def traced_eject(tmp_path, kicks, n_b=2, n_a=1):
+    """A short CLI eject of n_b |b> + n_a |a> atoms under the tracer;
+    returns the tracer module and the Tracer after the run."""
     tracer = load_perfbench(TRACER)
     sites = tracer.all_binding_sites()
     cfg = tmp_path / "eject.json"
     cfg.write_text(json.dumps({
-        "trajectories": 2, "trajectories_a": 1, "duration": "40 us",
+        "trajectories": n_b, "trajectories_a": n_a, "duration": "40 us",
         "include_recoil_kicks": kicks, "profile_samples": 5}))
     tr = tracer.Tracer(run_id="tiny-eject")
     tr.install()
@@ -63,8 +64,10 @@ def test_tracer_binds_every_target(tmp_path):
 
 
 def test_kick_free_group_is_one_segment(tmp_path):
-    # the batched path eject-smooth times: both states in one system
-    _, tr = traced_eject(tmp_path, kicks=False)
+    # the batched path eject-smooth times: both states in one system of
+    # the smallest size that runs as one
+    _, tr = traced_eject(tmp_path, kicks=False,
+                         n_b=ejection._MIN_BATCH - 1, n_a=1)
     recorded = [span[0] for span in tr.spans]
     assert recorded.count("ejection.segment") == 1
     assert "ejection.simulate_trajectory" not in recorded
