@@ -175,24 +175,40 @@ def simulate_ensemble(positions, velocities, field_, states, config,
     m = len(positions)
     labels = [states] * m if isinstance(states, str) else list(states)
     if m != 1 and (config.include_recoil_kicks or m < _MIN_BATCH):
+        for label in labels:        # a bad label fails before any atom runs
+            field_._point_terms(label)
         return [simulate_trajectory(
                     (positions[i], velocities[i]), field_, labels[i], config,
                     seed=None if seeds is None else seeds[i])
                 for i in range(m)]
     mass = field_.species.mass
     gravity = _gravity(config)
-    # one atom takes the single-point field path, several times cheaper
-    atoms, label = ((0, labels[0]) if m == 1
-                    else (slice(None), np.array(labels)))
+    # The labels map to their field constants once, here, so a bad label
+    # fails before anything is integrated. The right-hand side asks for
+    # no potential. One atom takes the single-point field path on Python
+    # floats, several times cheaper than a batched call.
+    if m == 1:
+        terms = field_._point_terms(labels[0])
+        gx, gy, gz = gravity.tolist()
 
-    def rhs(t, y):
-        y = y.reshape(-1, 7)
-        _, force, rate = field_.evaluate(y[atoms, :3], label)
-        dy = np.empty_like(y)
-        dy[:, :3] = y[:, 3:6]
-        dy[:, 3:6] = force / mass + gravity
-        dy[:, 6] = rate
-        return dy.ravel()
+        def rhs(t, y):
+            x, y, z, vx, vy, vz, _ = y.tolist()
+            _, fx, fy, fz, rate = field_._point(x, y, z, terms,
+                                                potential=False)
+            return [vx, vy, vz, fx / mass + gx, fy / mass + gy,
+                    fz / mass + gz, rate]
+    else:
+        lines = field_._batch_lines(labels)
+
+        def rhs(t, y):
+            y = y.reshape(-1, 7)
+            _, force, rate = field_._batch(y[:, 0], y[:, 1], y[:, 2], lines,
+                                           potential=False)
+            dy = np.empty_like(y)
+            dy[:, :3] = y[:, 3:6]
+            dy[:, 3:6] = force / mass + gravity
+            dy[:, 6] = rate
+            return dy.ravel()
 
     events = [_exit_event(_REGION_RADIUS, 7 * j, terminal=m == 1)
               for j in range(m)]

@@ -44,10 +44,10 @@ class GaussianBeam:
         object.__setattr__(self, "focus_position",
                            np.asarray(self.focus_position, dtype=float))
         # focus, axis, w0^2, (w0 / zR)^2 and 2P / pi for _intensity_terms
-        object.__setattr__(self, "_kernel", (
+        object.__setattr__(self, "_kernel", tuple(map(float, (
             *self.focus_position.tolist(), *self.axis.tolist(),
             self.waist ** 2, (self.waist / self.rayleigh_range) ** 2,
-            2 * self.power / np.pi))
+            2 * self.power / np.pi))))
 
     @property
     def rayleigh_range(self):
@@ -62,12 +62,17 @@ class GaussianBeam:
         return 2 * np.pi / self.wavelength
 
 
-def _intensity_terms(k, x, y, z):
+def _float_exp(u):
+    """np.exp of a Python float, back as a Python float: the same bits."""
+    return float(np.exp(u))
+
+
+def _intensity_terms(k, x, y, z, exp=np.exp):
     """I (W/m^2) and grad I (W/m^3), component by component, at (x, y, z).
 
     `k` is a beam's `_kernel` tuple, or the kernels of B beams stacked as
-    (9, B, 1). Only ufuncs and arithmetic, so one point runs on float64
-    scalars and a batch on (B, M) arrays, the same way.
+    (9, B, 1). Only `exp` and arithmetic, so one point runs on Python
+    floats with `_float_exp` and a batch on (B, M) arrays, the same way.
     """
     fx, fy, fz, ax, ay, az, w02, c, p2 = k
     dx, dy, dz = x - fx, y - fy, z - fz
@@ -75,7 +80,7 @@ def _intensity_terms(k, x, y, z):
     px, py, pz = dx - zb * ax, dy - zb * ay, dz - zb * az   # rel - zb axis
     w2 = w02 + c * zb * zb
     u = 2 * (px * px + py * py + pz * pz) / w2       # 2 rho^2 / w^2
-    I = p2 / w2 * np.exp(-u)
+    I = p2 / w2 * exp(-u)
     # grad I = dI/drho^2 grad rho^2 + dI/dz axis, grad rho^2 = 2 (rel -
     # zb axis), dI/drho^2 = -2 I / w^2, dI/dz = (I / w^2) (dw^2/dz) (u - 1)
     q = I / w2
@@ -94,9 +99,9 @@ def _line_terms(detuning, species):
     """hbar Delta / 2 and I_sat (1 + (2 Delta / Gamma)^2) of one detuning."""
     if detuning == 0:
         raise ResonantLightError("resonant light is unsupported")
-    return (hbar * detuning / 2,
-            species.saturation_intensity
-            * (1 + (2 * detuning / species.linewidth_Gamma) ** 2))
+    return (float(hbar * detuning / 2),
+            float(species.saturation_intensity
+                  * (1 + (2 * detuning / species.linewidth_Gamma) ** 2)))
 
 
 def dipole_potential(I, detuning, species=RB87):
@@ -180,48 +185,71 @@ class StatePotentialField:
         I_eff = I_sat (1 + (2 Delta / Gamma)^2), U = (hbar Delta / 2)
         ln(1 + I / I_eff), dU/dI = (hbar Delta / 2) / (I + I_eff) and
         R = (Gamma / 2) I / (I + I_eff).
+
+        A single point runs beam by beam on Python floats, a batch on
+        (B, M) arrays. A trajectory integrator binds each system's label
+        constants once (`_point_terms`, `_batch_lines`) and asks `_point`
+        or `_batch` for F and the rate only, without U.
         """
         r = np.asarray(r, dtype=float)
         if r.ndim > 1:
-            return self._evaluate_batch(r, state)
+            U, F, R = self._batch(*r.reshape(-1, 3).T,
+                                  self._batch_lines(state))
+            shape = r.shape[:-1]
+            return U.reshape(shape), F.reshape(r.shape), R.reshape(shape)
+        x, y, z = r.tolist()
+        U, Fx, Fy, Fz, R = self._point(x, y, z, self._point_terms(state))
+        return U, np.array([Fx, Fy, Fz]), R
+
+    def _point_terms(self, state):
+        """Each beam's (kernel, hbar Delta / 2, I_eff) for one label."""
         if state not in ("a", "b"):
             raise ValueError("state must be 'a' or 'b', got %r" % (state,))
-        # one point, beam by beam; Python floats until the first ufunc
-        # returns, which rounds as numpy scalars do but runs faster
-        x, y, z = r.tolist()
-        U = S = Fx = Fy = Fz = 0.0
-        for k, half, i_eff in self._terms[state]:
-            I, gx, gy, gz = _intensity_terms(k, x, y, z)
+        return self._terms[state]
+
+    def _point(self, x, y, z, terms, potential=True):
+        """(U, Fx, Fy, Fz, rate) at one point from `_point_terms`, U None
+        without `potential`. Python floats throughout: each np.exp and
+        np.log1p result is taken back with float(), so every value
+        rounds as on numpy scalars, and runs several times faster."""
+        U = 0.0 if potential else None
+        S = Fx = Fy = Fz = 0.0
+        for k, half, i_eff in terms:
+            I, gx, gy, gz = _intensity_terms(k, x, y, z, _float_exp)
             inv = 1 / (I + i_eff)
-            U = U + half * np.log1p(I / i_eff)
+            if potential:
+                U = U + half * float(np.log1p(I / i_eff))
             S = S + I * inv
             dU_dI = half * inv
             Fx, Fy, Fz = Fx - dU_dI * gx, Fy - dU_dI * gy, Fz - dU_dI * gz
-        return U, np.array([Fx, Fy, Fz]), self.species.linewidth_Gamma / 2 * S
+        return U, Fx, Fy, Fz, self.species.linewidth_Gamma / 2 * S
 
-    def _evaluate_batch(self, r, state):
-        """evaluate on an (..., 3) batch, all beams at once."""
+    def _batch_lines(self, state):
+        """hbar Delta / 2 and I_eff per beam for a label, or per point for
+        an array of labels: (2, B, 1) or (2, B, M)."""
         labels = np.asarray(state).ravel()
         is_b = labels == "b"
         if not (is_b | (labels == "a")).all():
             raise ValueError("states must be 'a' or 'b', got %r" % (state,))
-        half, i_eff = np.where(is_b, self._stacked_lines["b"],
-                               self._stacked_lines["a"])
-        flat = r.reshape(-1, 3)
+        return np.where(is_b, self._stacked_lines["b"],
+                        self._stacked_lines["a"])
+
+    def _batch(self, x, y, z, lines, potential=True):
+        """(U, F as (M, 3), rate) at M points from `_batch_lines`, U None
+        without `potential`."""
+        half, i_eff = lines
         # (B, M) per beam and point. The beams are summed in order, as
         # the single-point loop sums them, so both give the same bits
-        I, gx, gy, gz = _intensity_terms(self._stacked_kernel, flat[:, 0],
-                                         flat[:, 1], flat[:, 2])
+        I, gx, gy, gz = _intensity_terms(self._stacked_kernel, x, y, z)
         inv = 1 / (I + i_eff)
         dU_dI = half * inv
-        U = np.add.reduce(half * np.log1p(I / i_eff))
+        U = np.add.reduce(half * np.log1p(I / i_eff)) if potential else None
         S = np.add.reduce(I * inv)
-        F = np.empty(flat.shape)
+        F = np.empty((I.shape[1], 3))
         for i, g in enumerate((gx, gy, gz)):
             np.add.reduce(dU_dI * g, out=F[:, i])
-        shape = r.shape[:-1]
-        return (U.reshape(shape), np.negative(F, out=F).reshape(r.shape),
-                self.species.linewidth_Gamma / 2 * S.reshape(shape))
+        return (U, np.negative(F, out=F),
+                self.species.linewidth_Gamma / 2 * S)
 
     def potential(self, r, state):
         """U_state(r) in J."""

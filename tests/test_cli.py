@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.constants import k as k_B
 
 from rydsources import ejection, emission
 from rydsources.cli import _write_csv, _write_pattern_csv, main
@@ -268,6 +269,57 @@ class TestCliRuns:
         assert main(["fig1", "--config", cfg, "--out", str(b),
                      "--workers", "1", "--seed", "99"]) == 0
         assert (a / "fig1.csv").read_bytes() != (b / "fig1.csv").read_bytes()
+
+
+# the eject-smooth benchmark workload: 30 |b> + 6 |a> atoms, no kicks
+SMOOTH_EJECT = {"trajectories": 30, "trajectories_a": 6,
+                "include_recoil_kicks": False}
+
+
+class TestEjectEnergy:
+    @pytest.mark.parametrize("seed, unbound_a", [(7, {}), (10025, {5: 29.8})])
+    def test_kick_free_escapes_were_drawn_unbound(self, tmp_path,
+                                                  monkeypatch, seed,
+                                                  unbound_a):
+        # Without kicks the fields are static, so E = m v^2 / 2 + U (the
+        # escape test's energy; gravity is off) is conserved up to the
+        # integrator's error, and only an atom drawn unbound can escape.
+        # Seed 10025 draws |a> atom 5 unbound: the one |a> escape that
+        # fails the benchmark's "a escape fraction <= 0.1" check there
+        # is the thermal tail, not a program fault.
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append((args, ejection.simulate_ensemble(*args, **kwargs)))
+            return runs[-1][1]
+        monkeypatch.setattr("rydsources.cli.simulate_ensemble", spy)
+        cfg = write_config(tmp_path, SMOOTH_EJECT)
+        assert main(["eject", "--config", cfg, "--seed", str(seed),
+                     "--out", str(tmp_path / "out")]) == 0
+        ((_, _, field, states, config), trajs), = runs
+        assert not config.gravity
+        mass = field.species.mass
+        depth = -field.potential(np.zeros(3), "a")
+
+        def energy(tr, state, row):
+            v = tr.velocities[row]
+            return 0.5 * mass * v @ v + field.potential(tr.positions[row],
+                                                        state)
+        escaped_a = {}
+        a_index = states.index("a")
+        for i, (state, tr) in enumerate(zip(states, trajs)):
+            e0, e1 = energy(tr, state, 0), energy(tr, state, -1)
+            # DOP853 bounds each step's local error by the tolerance; over
+            # a run the energy moved by at most 3.3e-10 of the trap depth
+            # at tolerance 1e-9 (seeds 1, 2, 3, 7, 10025)
+            assert abs(e1 - e0) <= 10 * config.tolerance * depth
+            if tr.escaped:
+                assert e0 > 0
+                if state == "a":
+                    escaped_a[i - a_index] = e0
+        assert escaped_a.keys() == unbound_a.keys()
+        for i, e0_uK in unbound_a.items():
+            assert escaped_a[i] / k_B * 1e6 == pytest.approx(e0_uK, abs=0.1)
 
 
 class TestCliErrors:

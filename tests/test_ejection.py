@@ -252,14 +252,16 @@ class TestRecoilKicks:
         # 30 thermal |b> atoms, ~21 kicks each: restarting every segment
         # from scratch cost 983.5 field evaluations per trajectory (mean
         # kicks 21.0 +- 1.22, photons 20.15 +- 0.92, standard errors);
-        # resuming at the last full step must cut that and move neither
+        # resuming at the last full step must cut that and move neither.
+        # Every single-point evaluation, the right-hand side's included,
+        # goes through `_point`
         calls = []
-        evaluate = StatePotentialField.evaluate
+        point = StatePotentialField._point
 
-        def counted(self, r, state):
+        def counted(self, *args, **kwargs):
             calls.append(1)
-            return evaluate(self, r, state)
-        monkeypatch.setattr(StatePotentialField, "evaluate", counted)
+            return point(self, *args, **kwargs)
+        monkeypatch.setattr(StatePotentialField, "_point", counted)
         field = eject_field()
         config = EjectConfig(duration=300e-6, tolerance=1e-9,
                              include_recoil_kicks=True)
@@ -468,6 +470,72 @@ class TestEnsemble:
         with pytest.raises(IntegrationError, match="Required step size"):
             simulate_ensemble(pos, vel, eject_field(), "b",
                               EjectConfig(duration=50e-6))
+
+
+class TestRightHandSide:
+    """The derivatives handed to DOP853, against `evaluate`."""
+
+    @staticmethod
+    def rhs(monkeypatch, y, states, gravity):
+        """The right-hand side simulate_ensemble builds for the atoms of
+        the (m, 7) states y; nothing is integrated."""
+        funs = []
+
+        def spy(fun, t_span, y0, **kwargs):
+            funs.append(fun)
+            return failed_step()
+        monkeypatch.setattr(ejection, "solve_ivp", spy)
+        with pytest.raises(IntegrationError):
+            simulate_ensemble(y[:, :3], y[:, 3:6], eject_field(), states,
+                              EjectConfig(gravity=gravity))
+        fun, = funs
+        return lambda: np.asarray(fun(0.0, y.ravel()), dtype=float)
+
+    @pytest.mark.parametrize("gravity", [False, True])
+    @pytest.mark.parametrize("state", ["a", "b", "mixed"])
+    def test_equals_evaluate_bit_for_bit(self, monkeypatch, state, gravity):
+        # one atom on the float point path, and a stacked system on the
+        # label constants bound when it is built, both without U
+        field = eject_field()
+        rng = np.random.default_rng(4)
+        m = ejection._MIN_BATCH + 3
+        labels = (rng.choice(["a", "b"], m) if state == "mixed"
+                  else np.full(m, state))
+        y = np.column_stack((rng.uniform(-15e-6, 15e-6, (m, 3)),
+                             rng.normal(0.0, 0.1, (m, 3)),
+                             rng.uniform(0.0, 20.0, m)))
+        g = np.array([0.0, 0.0, -ejection._G if gravity else 0.0])
+
+        def derivatives(U_F_R, v):
+            _, F, R = U_F_R
+            return np.column_stack((v, F / field.species.mass + g, R))
+        stacked = self.rhs(monkeypatch, y, list(labels), gravity)()
+        reference = derivatives(field.evaluate(y[:, :3], labels), y[:, 3:6])
+        assert stacked.tobytes() == reference.ravel().tobytes()
+        for i, label in enumerate(labels):
+            one = self.rhs(monkeypatch, y[i:i + 1], str(label), gravity)()
+            U, F, R = field.evaluate(y[i, :3], str(label))
+            reference = derivatives((U, F[None], np.array([R])),
+                                    y[i:i + 1, 3:6])
+            assert one.tobytes() == reference.ravel().tobytes()
+
+    @pytest.mark.parametrize("kicks, states", [
+        (False, ["c"]),
+        (False, ["b"] * ejection._MIN_BATCH + ["c"]),
+        (False, ["b", "c"]),
+        (True, ["b", "b", "c"]),
+    ], ids=["one-atom", "stacked", "per-atom", "kicked"])
+    def test_unknown_label_rejected_before_integrating(self, monkeypatch,
+                                                       kicks, states):
+        calls = []
+        monkeypatch.setattr(ejection, "solve_ivp",
+                            lambda *args, **kwargs: calls.append(1))
+        pos, vel = sample_thermal_initial(30e-6, len(states), 1, 5e-6)
+        with pytest.raises(ValueError, match="must be 'a' or 'b'"):
+            simulate_ensemble(pos, vel, eject_field(), states,
+                              EjectConfig(include_recoil_kicks=kicks),
+                              seeds=list(range(len(states))))
+        assert not calls
 
 
 class TestCollimationStats:
